@@ -316,7 +316,7 @@ def _coeff_vector(form: HomoForm, index: dict):
     return vec
 
 
-def special_basis(system: DynSystem, n: int, cap_factor: int = CANDIDATE_CAP_FACTOR) -> BasisFamily:
+def special_basis(system: DynSystem, n: int) -> BasisFamily:
     """Greedy basis of degree-n forms modulo the hypersurface ideal,
     drawn from the spanning family in enumeration order."""
     nvars = system.map.nvars
@@ -328,7 +328,7 @@ def special_basis(system: DynSystem, n: int, cap_factor: int = CANDIDATE_CAP_FAC
         tracker.add(_coeff_vector(row, index))
     if tracker.rank != len(monos) - target:
         raise InternalCheckError("hypersurface ideal rank mismatch")
-    cap = cap_factor * math.comb(n + system.N, system.N)
+    cap = CANDIDATE_CAP_FACTOR * math.comb(n + system.N, system.N)
     kept: list[GenElement] = []
     pivots: list[int] = []
     relaxed = False
@@ -365,14 +365,14 @@ def monomial_basis(N: int, n: int) -> BasisFamily:
     return BasisFamily(n, els, list(range(len(els))), len(els))
 
 
-def spanning_rank(system: DynSystem, n: int, cap_factor: int = CANDIDATE_CAP_FACTOR) -> int:
+def spanning_rank(system: DynSystem, n: int) -> int:
     """Rank attained by the spanning family in the full degree-n space
     (no hypersurface reduction)."""
     nvars = system.map.nvars
     monos = monomials_of_degree(nvars, n)
     index = {m: i for i, m in enumerate(monos)}
     tracker = IncrementalRank(len(monos))
-    cap = cap_factor * math.comb(n + system.N, system.N)
+    cap = CANDIDATE_CAP_FACTOR * math.comb(n + system.N, system.N)
     seen = 0
     for el, _ in spanning_family(system, n):
         if seen >= cap or tracker.rank == len(monos):

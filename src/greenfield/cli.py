@@ -28,6 +28,12 @@ from .pffield import (MINUS_INFINITY, PLUS_INFINITY, Place, parse_rational,
                       product_formula_sum)
 
 
+def _check_tol(tol: float, where: str) -> float:
+    if not (math.isfinite(tol) and tol > 0):
+        raise errors.InputError(f"{where}: tol must be finite and positive, got {tol}")
+    return tol
+
+
 @dataclass
 class SystemConfig:
     N: int
@@ -44,7 +50,7 @@ class SystemConfig:
             N = int(data["N"])
             d = int(data["d"])
             forms = list(data["forms"])
-            tol = float(data.get("tol", 1e-9))
+            tol = _check_tol(float(data.get("tol", 1e-9)), where)
             seed = int(data.get("seed", 7))
         except (KeyError, TypeError, ValueError) as exc:
             raise errors.InputError(f"{where}: missing or malformed field: {exc}")
@@ -54,8 +60,6 @@ class SystemConfig:
             data.get("r_convention", "invariant"),
             tol, seed,
         )
-        if cfg.tol <= 0:
-            raise errors.InputError(f"{where}: tol must be positive")
         if cfg.r_convention not in ("paper", "invariant"):
             raise errors.InputError(f"{where}: bad r_convention {cfg.r_convention!r}")
         if len(cfg.forms) != N + 1:
@@ -342,6 +346,13 @@ def _cmd_multiples(args):
     bound = 2 * n**g + cn
     orbit = lattes.orbit(bound)
     res = multiples_search(lattes.system, orbit, n)
+    # the determinant may exceed the interpreter's int-to-str digit limit
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        det = str(res.determinant)
+    finally:
+        sys.set_int_max_str_digits(limit)
     _emit(
         {
             "schema": "greenfield-report/1",
@@ -352,7 +363,7 @@ def _cmd_multiples(args):
             "c": cn,
             "bound": bound,
             "indices": res.indices,
-            "determinant": str(res.determinant),
+            "determinant": det,
         },
         args.out,
     )
@@ -513,6 +524,8 @@ def run(argv) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        if getattr(args, "tol", None) is not None:
+            _check_tol(args.tol, "--tol")
         return args.fn(args)
     except errors.InputError as exc:
         sys.stderr.write(f"error: {exc}\n")

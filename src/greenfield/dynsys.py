@@ -29,7 +29,7 @@ from .errors import DomainError, InternalCheckError, NotAMorphism, PreconditionE
 from .homopoly import (HomoForm, PolyMap, ProjPoint, coeff_sup_log, evaluate,
                        iterate)
 from .macaulay import elimination_certificates, macaulay_degree, macaulay_resultant
-from .pffield import LogMag, Place
+from .pffield import LogMag, Place, log_abs
 
 
 class Membership(enum.Enum):
@@ -190,7 +190,7 @@ class DynSystem:
             c_lo = (
                 math.log(pm.nvars)
                 + math.log(max(eta_terms, 1))
-                + (math.log(big.numerator) - math.log(big.denominator) if big else 0.0)
+                + (log_abs(big)[0] if big else 0.0)
                 + 1e-12
             )
             c_lo = max(c_lo, 0.0)
@@ -286,7 +286,7 @@ def _escape_padic_bad(system: DynSystem, place: Place, lift: ProjPoint, tol: flo
     for f in system.map.forms:
         for c in f.coeffs.values():
             s = math.lcm(s, c.denominator)
-    log_s_v = -_ordint(s, p) * logp
+    log_s_v = -place.valuation(s) * logp
     c_lo_s = c_lo - log_s_v
     c_hi_s = c_hi + log_s_v
     int_forms = [
@@ -296,12 +296,12 @@ def _escape_padic_bad(system: DynSystem, place: Place, lift: ProjPoint, tol: flo
     for x in lift.lift:
         den = math.lcm(den, x.denominator)
     v0 = [int(x * den) for x in lift.lift]
-    shift0 = _ordmin(v0, p)  # v0 -> v0 / p^shift0 is primitive at p
+    shift0 = min(place.valuation(x) for x in v0 if x)  # v0 / p^shift0 is primitive at p
     v0 = [x // p**shift0 for x in v0]
     # H_F(lift) = H_{F'}(v0) - log|s|_v/(d-1) - log|lam|_v,  lam = den/p^shift0,
     # and log|s|_v = -ord_p(s) log p, log|lam|_v = -lam_ord log p:
-    lam_ord = _ordint(den, p) - shift0
-    base = Fraction(lam_ord) + Fraction(_ordint(s, p), d - 1)  # coefficient of log p
+    lam_ord = place.valuation(den) - shift0
+    base = Fraction(lam_ord) + Fraction(place.valuation(s), d - 1)  # coefficient of log p
     bound = max(abs(c_lo_s), abs(c_hi_s), 1e-9)
     K = _tail_steps(d, bound, tol)
     max_m = max(1, int(c_lo_s / logp) + 1)
@@ -313,8 +313,9 @@ def _escape_padic_bad(system: DynSystem, place: Place, lift: ProjPoint, tol: flo
         ok = True
         for k in range(K):
             w = [_eval_int_form(f, v, p, prec) for f in int_forms]
-            m = _ordmin(w, p, prec)
-            if m is None or m >= prec:
+            # entries lie in [0, p^prec), so a nonzero one has valuation < prec
+            m = min((place.valuation(x) for x in w if x), default=None)
+            if m is None:
                 ok = False
                 break
             acc -= Fraction(m, d ** (k + 1))
@@ -343,31 +344,6 @@ def _eval_int_form(coeffs: dict, v: list[int], p: int, prec: int) -> int:
     return acc
 
 
-def _ordint(n: int, p: int) -> int:
-    if n == 0:
-        raise DomainError("valuation of zero")
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
-
-
-def _ordmin(vec, p, cap=None):
-    best = None
-    for x in vec:
-        if x == 0:
-            continue
-        v = 0
-        while x % p == 0 and (cap is None or v < cap):
-            x //= p
-            v += 1
-        best = v if best is None else min(best, v)
-        if best == 0:
-            return 0
-    return best
-
-
 def _escape_arch(system: DynSystem, lift: ProjPoint, tol: float) -> EscapeRate:
     d = system.degree
     c_lo, c_hi = system.growth_constants(Place.archimedean())
@@ -380,7 +356,7 @@ def _escape_arch(system: DynSystem, lift: ProjPoint, tol: float) -> EscapeRate:
         q = [x / m0 for x in q]
     else:
         big = max(abs(x) for x in lift.lift)
-        total = math.log(big.numerator) - math.log(big.denominator)
+        total = log_abs(big)[0]
         q = [complex(x / big) for x in lift.lift]
     parts = [total]
     scale = 1.0

@@ -10,8 +10,6 @@ fitted from the data are published as fits, never as derived constants.
 
 import cmath
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import count, product
@@ -26,21 +24,6 @@ from .heights import HeightValue, canonical_height, contributing_places
 from .homopoly import HomoForm, PolyMap, ProjPoint
 from .linalg import IncrementalRank, det_fraction
 from .pffield import MINUS_INFINITY, Place
-
-
-def _workers() -> int:
-    try:
-        return max(1, int(os.environ.get("GREENFIELD_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _ordered_map(fn, items):
-    w = _workers()
-    if w == 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=w) as ex:
-        return list(ex.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +153,10 @@ def scale_into_julia(system: DynSystem, place: Place, lift: ProjPoint,
     return lift.scaled(Fraction(place.p) ** m)
 
 
+# Grid points sample_julia_tuple tries before giving up.
+MAX_GRID_TRIES = 5000
+
+
 def _grid_lifts(nvars: int):
     for i in range(nvars):
         yield ProjPoint.exact([1 if j == i else 0 for j in range(nvars)])
@@ -180,7 +167,7 @@ def _grid_lifts(nvars: int):
 
 
 def sample_julia_tuple(system: DynSystem, basis: BasisFamily, place: Place,
-                       tol: float = 1e-9, max_tries: int = 5000):
+                       tol: float = 1e-9):
     """A deterministic tuple of c(n) exact lifts inside the filled Julia
     set at the place with a nonzero basis determinant, built greedily
     from a small integer grid.  Only for systems without a hypersurface
@@ -192,7 +179,7 @@ def sample_julia_tuple(system: DynSystem, basis: BasisFamily, place: Place,
     chosen = []
     tried = 0
     for cand in _grid_lifts(system.map.nvars):
-        if tried >= max_tries:
+        if tried >= MAX_GRID_TRIES:
             break
         tried += 1
         lift = scale_into_julia(system, place, cand, tol)
@@ -203,7 +190,7 @@ def sample_julia_tuple(system: DynSystem, basis: BasisFamily, place: Place,
         chosen.append(lift)
         if len(chosen) == c:
             return chosen
-    raise InternalCheckError(f"no admissible nonsingular tuple within {max_tries} grid points")
+    raise InternalCheckError(f"no admissible nonsingular tuple within {MAX_GRID_TRIES} grid points")
 
 
 def roots_of_unity_tuple(count_pts: int) -> list[ProjPoint]:
@@ -270,8 +257,8 @@ def adelic_report(system: DynSystem, n_list, budget: int = 4000, seed: int = 7,
     the archimedean place, greedy grid tuples at finite places), and
     the fitted constant max_n (sum_v envelope) * n / log n."""
     places = report_places(system)
-
-    def entry_for(n):
+    entries = []
+    for n in n_list:
         basis = special_basis(system, n)
         c = basis.cn
         envs = {}
@@ -298,9 +285,7 @@ def adelic_report(system: DynSystem, n_list, budget: int = 4000, seed: int = 7,
         wit_vals = [w for w in wits.values() if w is not None]
         wit_sum = math.fsum(wit_vals) if len(wit_vals) == len(places) else None
         fitted = env_sum * n / math.log(n) if n >= 2 else 0.0
-        return AdelicEntry(n, c, envs, wits, env_sum, wit_sum, fitted)
-
-    entries = _ordered_map(entry_for, list(n_list))
+        entries.append(AdelicEntry(n, c, envs, wits, env_sum, wit_sum, fitted))
     c_fit = max((e.fitted_c for e in entries), default=0.0)
     return AdelicReport([repr(p) for p in places], entries, c_fit)
 
@@ -316,16 +301,14 @@ def transfin_trend(system: DynSystem, n_list, places=None, tol: float = 1e-9):
     if places is None:
         places = report_places(system)
     rows = []
-
-    def rows_for(n):
+    for n in n_list:
         basis = special_basis(system, n)
         c = basis.cn
-        out = []
         for place in places:
             row = {"n": n, "c": c, "place": repr(place)}
             if not place.is_archimedean and system.reduction(place).needs_extension:
                 row["skipped"] = "no rational rescaling attains |Res|_v = 1"
-                out.append(row)
+                rows.append(row)
                 continue
             r_log = julia_radius_log(system, place)
             row["envelope_logd"] = hadamard_envelope(system, n, r_log, place) / (n * c)
@@ -339,11 +322,7 @@ def transfin_trend(system: DynSystem, n_list, places=None, tol: float = 1e-9):
             except (PreconditionError, InternalCheckError) as exc:
                 row["witness_logd"] = None
                 row["witness_note"] = str(exc)
-            out.append(row)
-        return out
-
-    for chunk in _ordered_map(rows_for, list(n_list)):
-        rows.extend(chunk)
+            rows.append(row)
     return rows
 
 
@@ -473,7 +452,8 @@ def lehmer_scan(lattes: LattesSystem, depth_list, tol: float = 1e-9) -> LehmerTa
             f"base point height {h0.value} not certifiably above tol={tol}: torsion?"
         )
 
-    def rows_for(depth):
+    rows = []
+    for depth in depth_list:
         if depth < 0 or depth > MAX_LEHMER_DEPTH:
             raise DomainError(f"depth {depth} outside [0, {MAX_LEHMER_DEPTH}]")
         scale = 4**depth
@@ -481,16 +461,11 @@ def lehmer_scan(lattes: LattesSystem, depth_list, tol: float = 1e-9) -> LehmerTa
         herr = h0.error / scale
         if depth == 0:
             shape = h * 1**5 * math.log(2) ** 2
-            return [LehmerRow(0, 1, 1, 1, h, herr, shape, "z - x(P)")]
-        out = []
+            rows.append(LehmerRow(0, 1, 1, 1, h, herr, shape, "z - x(P)"))
+            continue
         for poly, mult in _preimage_factors(lattes, depth):
             D = poly.degree()
             shape = h * D**5 * math.log(max(D, 2)) ** 2
-            out.append(LehmerRow(depth, D, D, mult, h, herr, shape, str(poly.as_expr())))
-        return out
-
-    rows = []
-    for chunk in _ordered_map(rows_for, list(depth_list)):
-        rows.extend(chunk)
+            rows.append(LehmerRow(depth, D, D, mult, h, herr, shape, str(poly.as_expr())))
     min_shape = min((r.shape for r in rows), default=math.inf)
     return LehmerTable(h0, rows, min_shape)

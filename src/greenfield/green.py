@@ -175,12 +175,8 @@ class FeketeResult:
     evaluations: int
 
 
-def _unit_circle_chart(theta: float) -> ProjPoint:
-    return ProjPoint.of_numeric([cmath.exp(1j * theta), 1.0])
-
-
 def fekete_search(system: DynSystem, basis: BasisFamily, n: int, budget: int,
-                  seed: int, chart=None, restarts: int = 1) -> FeketeResult:
+                  seed: int) -> FeketeResult:
     """Maximize the determinant witness over tuples on the standard
     real-angle chart (unit-circle points with lifts normalized to escape
     rate zero): greedy Leja initialization over a seeded candidate pool,
@@ -190,30 +186,12 @@ def fekete_search(system: DynSystem, basis: BasisFamily, n: int, budget: int,
     the budget.  The result is a certified lower bound for log d at the
     archimedean place, not a claim of optimality.
     """
-    if system.N != 1 and chart is None:
-        raise PreconditionError("default angle chart needs X = P^1; supply a chart")
-    if chart is None:
-        chart = _unit_circle_chart
+    if system.N != 1:
+        raise PreconditionError("the angle chart needs X = P^1")
     if budget < 1:
         raise DomainError("budget must be positive")
-    if restarts < 1:
-        raise DomainError("restarts must be positive")
     if basis.n != n:
         raise DimensionMismatch("basis degree disagrees with n")
-    best = None
-    total = 0
-    share = max(1, budget // restarts)
-    for r in range(restarts):
-        res = _fekete_single(system, basis, n, share, seed + r, chart)
-        total += res.evaluations
-        if best is None or res.log_det > best.log_det:
-            best = res
-    best.evaluations = total
-    return best
-
-
-def _fekete_single(system: DynSystem, basis: BasisFamily, n: int, budget: int,
-                   seed: int, chart) -> FeketeResult:
     c = len(basis.elements)
     rng = random.Random(seed)
     arch = Place.archimedean()
@@ -227,7 +205,7 @@ def _fekete_single(system: DynSystem, basis: BasisFamily, n: int, budget: int,
         if got is not None:
             return got
         evals += 1
-        pt = chart(theta)
+        pt = ProjPoint.of_numeric([cmath.exp(1j * theta), 1.0])
         h = escape_rate(system, arch, pt, esc_tol).value
         orbit = {}
         raw = [el.evaluate_at(system, pt, orbit) for el in basis.elements]
@@ -303,7 +281,7 @@ def _fekete_single(system: DynSystem, basis: BasisFamily, n: int, budget: int,
 
     lifts = []
     for th in best_thetas:
-        pt = chart(th)
+        pt = ProjPoint.of_numeric([cmath.exp(1j * th), 1.0])
         h = escape_rate(system, arch, pt, esc_tol).value
         lifts.append(pt.scaled(cmath.exp(-h)))
     witness = LogMag.of_float(best_val / (n * c), 1e-12 + abs(best_val) * 1e-14)

@@ -11,12 +11,10 @@ the tolerance budget split evenly among them.
 import math
 from dataclasses import dataclass, field
 
-from sympy import factorint
-
 from .dynsys import DynSystem, EscapeRate, escape_rate
 from .errors import DomainError
 from .homopoly import ProjPoint
-from .pffield import LogMag, Place, log_abs
+from .pffield import LogMag, Place, log_abs, support
 
 
 @dataclass
@@ -26,20 +24,11 @@ class HeightValue:
     local_profile: dict = field(default_factory=dict)  # Place -> EscapeRate
 
 
-def _prime_places_of(x) -> set[Place]:
-    out = set()
-    for part in (abs(x.numerator), x.denominator):
-        for p in factorint(part):
-            if p > 1:
-                out.add(Place.prime(p))
-    return out
-
-
 def _coordinate_places(point: ProjPoint) -> set[Place]:
     places = {Place.archimedean()}
     for x in point.lift:
         if x != 0:
-            places |= _prime_places_of(x)
+            places |= support(x)
     return places
 
 
@@ -50,8 +39,8 @@ def contributing_places(system: DynSystem, point: ProjPoint) -> list[Place]:
     places = _coordinate_places(point)
     for f in system.map.forms:
         for c in f.coeffs.values():
-            places |= _prime_places_of(c)
-    places |= _prime_places_of(system.resultant)
+            places |= support(c)
+    places |= support(system.resultant)
     return sorted(places)
 
 

@@ -12,7 +12,7 @@ import re
 from fractions import Fraction
 
 from .errors import DimensionMismatch, DomainError, InputError, ResourceLimit
-from .pffield import LogMag, Place, log_abs
+from .pffield import LogMag, Place, log_abs, parse_rational
 
 # Intermediate expansion cap for products/compositions (total stored terms).
 TERM_CAP = 10**7
@@ -420,7 +420,7 @@ def parse_form(text: str, nvars: int) -> HomoForm:
                     raise InputError(f"variable x{idx} out of range (nvars={nvars})")
                 expo[idx] += int(m.group(2) or 1)
             elif _COEF_RE.match(factor):
-                c *= Fraction(factor)
+                c *= parse_rational(factor)
             else:
                 raise InputError(f"bad factor {factor!r} in term {tok!r}")
         d = sum(expo)
@@ -471,7 +471,3 @@ def form_str(form: HomoForm) -> str:
 def parse_map(form_texts: list[str]) -> PolyMap:
     nvars = len(form_texts)
     return PolyMap([parse_form(t, nvars) for t in form_texts])
-
-
-def map_strs(pm: PolyMap) -> list[str]:
-    return [form_str(f) for f in pm.forms]

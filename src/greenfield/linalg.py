@@ -126,91 +126,6 @@ def solve_preferring_early_columns(rows, rhs):
     return sols[0] if single else sols
 
 
-# ---------------------------------------------------------------------------
-# Dense univariate polynomials over Q (coefficient lists, constant first),
-# just enough for fraction-free elimination over Q[t].
-
-
-def poly_trim(p):
-    p = list(p)
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def poly_mul(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return poly_trim(out)
-
-
-def poly_sub(a, b):
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, y in enumerate(b):
-        out[i] -= y
-    return poly_trim(out)
-
-
-def poly_divexact(a, b):
-    """Quotient of a by b in Q[t], asserting zero remainder."""
-    if not b:
-        raise DimensionMismatch("polynomial division by zero")
-    a = list(a)
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    lead = b[-1]
-    for i in range(len(a) - len(b), -1, -1):
-        c = a[i + len(b) - 1] / lead
-        q[i] = c
-        if c:
-            for j, y in enumerate(b):
-                a[i + j] -= c * y
-    if poly_trim(a):
-        raise InternalCheckError("polynomial division left a remainder")
-    return poly_trim(q)
-
-
-def bareiss_det_poly(rows):
-    """Determinant of a square matrix over Q[t] by fraction-free Bareiss
-    elimination; all divisions are exact in Q[t]."""
-    n = len(rows)
-    if n == 0:
-        return [Fraction(1)]
-    m = [[poly_trim(e) for e in r] for r in rows]
-    sign = 1
-    prev = [Fraction(1)]
-    for k in range(n - 1):
-        piv = None
-        for i in range(k, n):
-            if m[i][k]:
-                piv = i
-                break
-        if piv is None:
-            return []
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        pkk = m[k][k]
-        for i in range(k + 1, n):
-            mik = m[i][k]
-            for j in range(k + 1, n):
-                num = poly_sub(poly_mul(m[i][j], pkk), poly_mul(mik, m[k][j]))
-                m[i][j] = poly_divexact(num, prev) if num else []
-            m[i][k] = []
-        prev = pkk
-    out = m[n - 1][n - 1]
-    if sign < 0:
-        out = [-c for c in out]
-    return out
-
-
 class IncrementalRank:
     """Greedy exact rank tracker: feed rational vectors one at a time
     and learn whether each one enlarges the span."""

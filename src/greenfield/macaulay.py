@@ -12,16 +12,16 @@ quotient degenerates to a single determinant.  The normalization is
 Res(x0^d, ..., xN^d) = 1.
 """
 
+import math
 from fractions import Fraction
 from itertools import permutations
 
 from .errors import DimensionMismatch, DomainError, InternalCheckError, NotAMorphism
 from .homopoly import HomoForm, PolyMap, monomials_of_degree
-from .linalg import (bareiss_det_poly, det_fraction, poly_divexact,
-                     solve_preferring_early_columns)
+from .linalg import det_fraction, solve_preferring_early_columns
 from .pffield import LogMag, Place, abs_log
 
-# Size guard for the symbolic-perturbation fallback (matrix side length).
+# Size guard for the perturbation fallback (matrix side length).
 PERTURBATION_SIZE_LIMIT = 130
 
 
@@ -88,41 +88,41 @@ def macaulay_resultant(pm: PolyMap) -> Fraction:
 
 def _resultant_by_perturbation(pm: PolyMap) -> Fraction:
     """Degenerate specializations where the Macaulay minor vanishes for
-    every variable precedence: perturb toward the power map G = (x_i^d),
-    whose minor is 1, so det D'(F + tG) is a nonzero polynomial in Q[t];
-    the quotient det D(t)/det D'(t) is the resultant of F + tG, and its
-    constant term is Res(F)."""
+    every variable precedence: perturb toward the power map G = (x_i^d).
+    D'(G) is the identity, so det D'(F + tG) is monic of degree |D'| in t
+    and vanishes at no more than |D'| values of t, and Res(F + tG) has
+    degree at most (N+1)d^N in t.  The quotient det D / det D' at
+    (N+1)d^N + 1 integers t >= 1 with a nonzero minor interpolates
+    Res(F + tG) exactly; its value at t = 0 is Res(F)."""
     n, d = pm.nvars, pm.degree
-    power = PolyMap([
-        HomoForm.monomial(n, tuple(d if j == i else 0 for j in range(n)))
-        for i in range(n)
-    ])
-    mat_f = MacaulayMatrix(pm)
-    if len(mat_f.columns) > PERTURBATION_SIZE_LIMIT:
+    size = math.comb(macaulay_degree(d, n - 1) + n - 1, n - 1)
+    if size > PERTURBATION_SIZE_LIMIT:
         raise InternalCheckError(
             "Macaulay quotient degenerate and the matrix is too large for "
-            f"the symbolic perturbation fallback ({len(mat_f.columns)} columns)"
+            f"the perturbation fallback ({size} columns)"
         )
-    mat_g = MacaulayMatrix(power)
-    size = len(mat_f.columns)
-    rows = [
-        [_linear_poly(mat_f.rows[i][j], mat_g.rows[i][j]) for j in range(size)]
-        for i in range(size)
-    ]
-    keep = [j for j, red in enumerate(mat_f.reduced) if not red]
-    minor = [[rows[i][j] for j in keep] for i in keep]
-    det_full = bareiss_det_poly(rows)
-    det_minor = bareiss_det_poly(minor)
-    if not det_minor:
-        raise InternalCheckError("perturbed Macaulay minor vanished identically")
-    res_t = poly_divexact(det_full, det_minor) if det_full else []
-    return res_t[0] if res_t else Fraction(0)
-
-
-def _linear_poly(c0, c1):
-    if c1 == 0:
-        return [c0] if c0 else []
-    return [c0, c1]
+    power = [HomoForm.monomial(n, tuple(d if j == i else 0 for j in range(n)))
+             for i in range(n)]
+    nodes = n * d ** (n - 1) + 1
+    ts, vals = [], []
+    t = 0
+    while len(ts) < nodes:
+        t += 1
+        mat = MacaulayMatrix(PolyMap([f + g.scale(t) for f, g in zip(pm.forms, power)]))
+        if t > nodes + mat.reduced.count(False):
+            raise InternalCheckError("perturbed Macaulay minor vanished too often")
+        den = mat.det_minor()
+        if den != 0:
+            ts.append(t)
+            vals.append(mat.det_full() / den)
+    # Lagrange interpolation at t = 0
+    res = Fraction(0)
+    for i, (ti, vi) in enumerate(zip(ts, vals)):
+        for j, tj in enumerate(ts):
+            if j != i:
+                vi *= Fraction(tj, tj - ti)
+        res += vi
+    return res
 
 
 _CONVENTIONS = ("paper", "invariant")

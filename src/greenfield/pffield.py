@@ -29,13 +29,10 @@ def parse_rational(s: str) -> Fraction:
     s = s.strip()
     if not _RATIONAL_RE.match(s):
         raise InputError(f"not a rational literal: {s!r}")
-    x = Fraction(s)
-    return x
-
-
-def format_rational(x) -> str:
-    x = Fraction(x)
-    return str(x)
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise InputError(f"zero denominator: {s!r}")
 
 
 class _MinusInfinity:

@@ -1,9 +1,12 @@
 import json
 import math
+import sys
+from fractions import Fraction
 
 import pytest
 
 from greenfield.cli import SystemConfig, run
+from greenfield.experiments import EllipticCurve, LattesSystem, multiples_search
 
 
 @pytest.fixture()
@@ -136,8 +139,44 @@ def test_exit_codes(capsys, tmp_path, power_cfg):
     assert run(["resultant", str(wrong)]) == 2
     assert run(["height", power_cfg, "--point", "0,0"]) == 1
     assert run(["escape", power_cfg, "--point", "1,1", "--place", "q=3"]) == 2
+    assert run(["escape", power_cfg, "--point", "1/0,1"]) == 2
     assert run(["nonsense"]) == 2
     capsys.readouterr()
+
+
+def test_non_finite_tol_is_a_parse_error(capsys, tmp_path, power_cfg):
+    for text in ("nan", "inf", "-inf", "0", "-1e-9"):
+        cfg = tmp_path / f"tol_{text}.json"
+        cfg.write_text(json.dumps({"N": 1, "d": 2, "forms": ["x0^2", "x1^2"],
+                                   "tol": text}))
+        assert run(["escape", str(cfg), "--point", "3,1"]) == 2
+        for cmd in (["escape", power_cfg, "--point", "3,1"],
+                    ["height", power_cfg, "--point", "3,1"],
+                    ["lehmer-scan", "--curve", "0,-2", "--point", "3,5", "--depths", "0"]):
+            assert run(cmd + [f"--tol={text}"]) == 2
+    assert "tol must be finite and positive" in capsys.readouterr().err
+
+
+def test_multiples_prints_determinants_beyond_the_str_limit(capsys):
+    # the n = 12 determinant has more digits than Python's default
+    # int-to-str limit (4300)
+    limit = sys.get_int_max_str_digits()
+    code, out = run_json(capsys, ["multiples", "--curve=-2,945/8",
+                                  "--point=-9/2,6", "--n", "12"])
+    assert code == 0
+    assert sys.get_int_max_str_digits() == limit
+    payload = json.loads(out)
+    lattes = LattesSystem(EllipticCurve(-2, Fraction(945, 8)),
+                          (Fraction(-9, 2), 6))
+    res = multiples_search(lattes.system, lattes.orbit(payload["bound"]), 12)
+    assert payload["indices"] == res.indices
+    sys.set_int_max_str_digits(0)
+    try:
+        printed = Fraction(payload["determinant"])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert printed == res.determinant
+    assert len(payload["determinant"]) > 4300
 
 
 def test_torsion_input_rejected_with_code_1(capsys):

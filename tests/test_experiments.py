@@ -250,14 +250,3 @@ def test_multiples_search_reproducible(mordell_lattes):
     a = multiples_search(mordell_lattes.system, orbit, 2)
     b = multiples_search(mordell_lattes.system, orbit, 2)
     assert a.indices == b.indices and a.determinant == b.determinant
-
-
-def test_reports_independent_of_thread_count(power_map, monkeypatch):
-    monkeypatch.setenv("GREENFIELD_THREADS", "1")
-    one = adelic_report(power_map, [2, 4], budget=400, seed=5).to_dict()
-    rows_one = transfin_trend(power_map, [2, 4], places=[ARCH])
-    monkeypatch.setenv("GREENFIELD_THREADS", "3")
-    three = adelic_report(power_map, [2, 4], budget=400, seed=5).to_dict()
-    rows_three = transfin_trend(power_map, [2, 4], places=[ARCH])
-    assert one == three
-    assert rows_one == rows_three

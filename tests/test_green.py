@@ -239,10 +239,3 @@ def test_fekete_needs_p1_without_chart(power_map_p2):
     from greenfield.basis import monomial_basis as mb
     with pytest.raises(PreconditionError):
         fekete_search(power_map_p2, mb(2, 2), 2, 100, seed=1)
-
-
-def test_fekete_restarts_deterministic(power_map):
-    mb = monomial_basis(1, 2)
-    a = fekete_search(power_map, mb, 2, 1200, seed=3, restarts=2)
-    b = fekete_search(power_map, mb, 2, 1200, seed=3, restarts=2)
-    assert a.log_det == b.log_det and a.angles == b.angles

@@ -168,7 +168,8 @@ def test_serialize_parse_roundtrip_bytewise():
 
 
 def test_parse_form_rejects_bad_input():
-    for bad, nv in (("x0^2 + x1", 2), ("x5", 2), ("2**x0", 2), ("", 2), ("x0 @ x1", 2)):
+    for bad, nv in (("x0^2 + x1", 2), ("x5", 2), ("2**x0", 2), ("", 2), ("x0 @ x1", 2),
+                    ("1/0*x0", 2)):
         with pytest.raises(InputError):
             parse_form(bad, nv)
 

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from sympy import Poly, Rational, resultant, symbols
@@ -108,6 +109,24 @@ def test_zero_resultant_on_p2():
     # all three forms vanish at [0 : 0 : 1]
     pm = parse_map(["x0^2", "x0*x1", "x1^2"])
     assert macaulay_resultant(pm) == 0
+
+
+@pytest.mark.parametrize("forms, expected", [
+    # (N, d) = (2, 3) and (3, 2); values computed by symbolic elimination
+    # over Q[t] in the perturbation F + tG
+    (["-x1^3 - x1^2*x2", "x0^3 + x0^2*x1 + x0*x2^2",
+      "3*x0*x1^2 + 3*x1^2*x2 + 3*x2^3"], 275562),
+    (["2*x0*x1 + x1*x3 + x3^2", "2*x0^2 + x0*x2 + 3*x1*x3",
+      "2*x2^2 + x2*x3 + 2*x3^2", "-x1^2"], 65536),
+])
+def test_degenerate_minor_takes_the_perturbation_fallback(forms, expected):
+    pm = parse_map(forms)
+    for prec in permutations(range(pm.nvars)):
+        assert MacaulayMatrix(pm, prec).det_minor() == 0
+    assert macaulay_resultant(pm) == expected
+    lam = Fraction(3, 2)
+    w = pm.nvars * pm.degree ** pm.N
+    assert macaulay_resultant(pm.scale(lam)) == lam**w * expected
 
 
 def test_r_normalized_examples():

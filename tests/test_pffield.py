@@ -125,6 +125,6 @@ def test_logmag_rejects_negative_error():
 def test_parse_rational():
     assert parse_rational("3/4") == Fraction(3, 4)
     assert parse_rational("-12") == -12
-    for bad in ("1.5", "a/b", "3/", "--2", ""):
+    for bad in ("1.5", "a/b", "3/", "--2", "", "1/0", "-7/00"):
         with pytest.raises(InputError):
             parse_rational(bad)

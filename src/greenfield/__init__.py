@@ -8,18 +8,18 @@ heights, and the experiment drivers built on top of them.
 
 from .basis import (BasisFamily, GenElement, floor_G, gen_degrees,
                     monomial_basis, section_dim, spanning_family, special_basis)
-from .dynsys import (DynSystem, EscapeRate, Membership, check_invariance,
-                     escape_rate, julia_membership, reduction_type)
+from .dynsys import (DynSystem, Membership, check_invariance, escape_rate,
+                     julia_membership, reduction_type)
 from .errors import (DimensionMismatch, DomainError, GreenfieldError,
                      InputError, InternalCheckError, NotAMorphism,
                      PreconditionError, ResourceLimit)
 from .experiments import (AdelicReport, EllipticCurve, LattesSystem,
                           adelic_report, duplication_map, lehmer_scan,
                           multiples_search, transfin_trend)
-from .green import (EvalDetLog, dbn_witness, eval_det_log, fekete_search,
-                    green_value, hadamard_envelope, julia_radius_log)
+from .green import (dbn_witness, eval_det_log, fekete_search, green_value,
+                    hadamard_envelope, julia_radius_log)
 from .heights import (HeightValue, canonical_height, contributing_places,
-                      local_height_profile, weil_height)
+                      weil_height)
 from .homopoly import (HomoForm, PolyMap, ProjPoint, coeff_sup_log, compose,
                        evaluate, form_str, iterate, parse_form, parse_map)
 from .macaulay import (MacaulayMatrix, elimination_certificate,

@@ -84,7 +84,7 @@ class SystemConfig:
                 except tomllib.TOMLDecodeError as exc:
                     raise errors.InputError(f"{path}: {exc}")
         else:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 try:
                     data = json.load(fh)
                 except json.JSONDecodeError as exc:
@@ -141,13 +141,16 @@ def _logmag_json(mag) -> dict:
     }
 
 
+def _local_json(mag) -> dict:
+    return {"value": mag.total(), "error": mag.arch_err, "exact": mag.is_exact}
+
+
 def _height_json(h) -> dict:
     return {
         "value": h.value,
         "error": h.error,
         "local_profile": {
-            repr(place): {"value": r.value, "error": r.error,
-                          "exact": r.exact is not None}
+            repr(place): _local_json(r)
             for place, r in sorted(h.local_profile.items(), key=lambda kv: kv[0])
         },
     }
@@ -215,9 +218,7 @@ def _cmd_escape(args):
             "kind": "escape",
             "place": repr(place),
             "point": [str(x) for x in point.lift],
-            "value": rate.value,
-            "error": rate.error,
-            "exact": rate.exact is not None,
+            **_local_json(rate),
             "membership": member.value,
         },
         args.out,
@@ -332,10 +333,16 @@ def _cmd_adelic(args):
     return 0
 
 
+def _rational_pair(text: str, what: str) -> list[Fraction]:
+    pair = [parse_rational(t) for t in text.split(",")]
+    if len(pair) != 2:
+        raise errors.InputError(f"{what} needs two components, got {text!r}")
+    return pair
+
+
 def _curve_and_point(args):
-    a, b = [parse_rational(t) for t in args.curve.split(",")]
-    x0, y0 = [parse_rational(t) for t in args.point.split(",")]
-    return LattesSystem(EllipticCurve(a, b), (x0, y0))
+    a, b = _rational_pair(args.curve, "--curve")
+    return LattesSystem(EllipticCurve(a, b), tuple(_rational_pair(args.point, "--point")))
 
 
 def _cmd_multiples(args):
@@ -409,11 +416,11 @@ def _cmd_selftest(args):
           macaulay_resultant(parse_map(["x0^2", "x1^2", "x2^2"])) == 1)
 
     rate = escape_rate(pw, Place.archimedean(), ProjPoint.exact([2, 1]), 1e-11)
-    check("power-map escape rate at [2:1]", abs(rate.value - math.log(2)) < 1e-9)
+    check("power-map escape rate at [2:1]", abs(rate.total() - math.log(2)) < 1e-9)
     cheb = DynSystem(parse_map(["x0^2 - 2*x1^2", "x1^2"]))
     rate = escape_rate(cheb, Place.archimedean(), ProjPoint.exact([3, 1]), 1e-11)
     check("Chebyshev escape rate at [3:1]",
-          abs(rate.value - math.log((3 + math.sqrt(5)) / 2)) < 1e-9)
+          abs(rate.total() - math.log((3 + math.sqrt(5)) / 2)) < 1e-9)
 
     fam = special_basis(pw, 6)
     check("special basis rank at n=6 on P^1", len(fam) == 7)
@@ -534,7 +541,7 @@ def run(argv) -> int:
             errors.ResourceLimit, errors.DimensionMismatch) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -29,7 +29,7 @@ from .errors import DomainError, InternalCheckError, NotAMorphism, PreconditionE
 from .homopoly import (HomoForm, PolyMap, ProjPoint, coeff_sup_log, evaluate,
                        iterate)
 from .macaulay import elimination_certificates, macaulay_degree, macaulay_resultant
-from .pffield import LogMag, Place, log_abs
+from .pffield import LogMag, Place, log_abs, sup_log
 
 
 class Membership(enum.Enum):
@@ -57,17 +57,6 @@ class ReductionInfo:
     @property
     def kind(self) -> str:
         return "good" if self.good else "bad"
-
-
-@dataclass
-class EscapeRate:
-    value: float
-    error: float
-    exact: LogMag | None = None  # set when the value is an exact ledger
-
-    @property
-    def is_exact(self) -> bool:
-        return self.exact is not None
 
 
 def divmod_form(num: HomoForm, den: HomoForm):
@@ -179,25 +168,19 @@ class DynSystem:
             return got
         pm = self.map
         sup = coeff_sup_log(pm, place)
-        eta_coeffs = [c for cert in self.certificates for eta in cert for c in eta.coeffs.values()]
+        eta_sup = sup_log(place, [c for cert in self.certificates for eta in cert
+                                  for c in eta.coeffs.values()])
         eta_terms = max(
             max((len(eta.coeffs) for eta in cert), default=1) for cert in self.certificates
         )
         if place.is_archimedean:
             terms = max(len(f.coeffs) for f in pm.forms)
             c_hi = sup.total() + math.log(terms) + 1e-12
-            big = max(abs(c) for c in eta_coeffs)
-            c_lo = (
-                math.log(pm.nvars)
-                + math.log(max(eta_terms, 1))
-                + (log_abs(big)[0] if big else 0.0)
-                + 1e-12
-            )
+            c_lo = math.log(pm.nvars) + math.log(max(eta_terms, 1)) + eta_sup.arch + 1e-12
             c_lo = max(c_lo, 0.0)
         else:
             c_hi = sup.total()
-            v = min(place.valuation(c) for c in eta_coeffs)
-            c_lo = -v * math.log(place.p)
+            c_lo = eta_sup.total()
         pair = (c_lo, c_hi)
         with self._lock:
             self._growth[place] = pair
@@ -267,16 +250,12 @@ def _tail_steps(d: int, bound: float, tol: float) -> int:
     return k
 
 
-def _escape_good_place(system: DynSystem, place: Place, lift: ProjPoint) -> EscapeRate:
-    p = place.p
+def _escape_good_place(system: DynSystem, place: Place, lift: ProjPoint) -> LogMag:
     t = system.reduction(place).scaling_ord
-    minord = min(place.valuation(x) for x in lift.lift if x != 0)
-    coeff = Fraction(-minord) - Fraction(t, system.degree - 1)
-    mag = LogMag.of_log_prime(p, coeff)
-    return EscapeRate(mag.total(), 0.0, mag)
+    return sup_log(place, lift.lift) + LogMag.of_log_prime(place.p, -Fraction(t, system.degree - 1))
 
 
-def _escape_padic_bad(system: DynSystem, place: Place, lift: ProjPoint, tol: float) -> EscapeRate:
+def _escape_padic_bad(system: DynSystem, place: Place, lift: ProjPoint, tol: float) -> LogMag:
     p = place.p
     d = system.degree
     logp = math.log(p)
@@ -326,7 +305,7 @@ def _escape_padic_bad(system: DynSystem, place: Place, lift: ProjPoint, tol: flo
             total = base + acc  # Fraction coefficient of log p
             val = float(total) * logp
             err = bound / (d**K * (d - 1)) + 4 * math.ulp(abs(val) + 1.0)
-            return EscapeRate(val, err, None)
+            return LogMag.of_float(val, err)
         W *= 2
         if W > 1_000_000:
             raise InternalCheckError("p-adic escape iteration lost all precision")
@@ -344,7 +323,7 @@ def _eval_int_form(coeffs: dict, v: list[int], p: int, prec: int) -> int:
     return acc
 
 
-def _escape_arch(system: DynSystem, lift: ProjPoint, tol: float) -> EscapeRate:
+def _escape_arch(system: DynSystem, lift: ProjPoint, tol: float) -> LogMag:
     d = system.degree
     c_lo, c_hi = system.growth_constants(Place.archimedean())
     bound = max(abs(c_lo), abs(c_hi), 1e-9)
@@ -371,13 +350,15 @@ def _escape_arch(system: DynSystem, lift: ProjPoint, tol: float) -> EscapeRate:
     val = math.fsum(parts)
     float_slop = (K + 2) * 1e-14 * (1.0 + abs(val)) + 1e-15
     err = bound / (d**K * (d - 1)) + float_slop
-    return EscapeRate(val, err, None)
+    return LogMag.of_float(val, err)
 
 
-def escape_rate(system: DynSystem, place: Place, lift: ProjPoint, tol: float) -> EscapeRate:
+def escape_rate(system: DynSystem, place: Place, lift: ProjPoint, tol: float) -> LogMag:
     """The local escape rate of the lift at the place, within tol.
 
-    Exact (zero error) at nonarchimedean places of good reduction.
+    An exact ledger (a rational multiple of log p, zero arch_err) at
+    nonarchimedean places of good reduction; a float with its error
+    bound in arch_err at the archimedean place and at bad primes.
     """
     if tol <= 0:
         raise DomainError("tol must be positive")
@@ -395,12 +376,10 @@ def julia_membership(system: DynSystem, place: Place, lift: ProjPoint, tol: floa
     band reported as UNDETERMINED.  Exact at good nonarchimedean places:
     the filled Julia set there is the polydisk H <= 0."""
     rate = escape_rate(system, place, lift, tol)
-    if rate.is_exact:
-        coeff = rate.exact.padic.get(place.p, Fraction(0)) if not place.is_archimedean else None
-        if coeff is not None:
-            return Membership.OUTSIDE if coeff > 0 else Membership.INSIDE
-    if rate.value > tol:
+    band = 0.0 if rate.is_exact else tol  # an exact ledger has a sharp sign
+    h = rate.total()
+    if h > band:
         return Membership.OUTSIDE
-    if rate.value < -tol:
+    if h <= -band:
         return Membership.INSIDE
     return Membership.UNDETERMINED

@@ -135,22 +135,20 @@ class LattesSystem:
 def scale_into_julia(system: DynSystem, place: Place, lift: ProjPoint,
                      tol: float = 1e-9) -> ProjPoint:
     """Rescale an exact lift by a rational power so its escape rate is
-    certifiably <= 0 at the place."""
+    certifiably <= 0 at the place: multiplying the lift by 2^-m at
+    infinity, or by p^m at p (|p^m|_p = p^-m), lowers the rate by m log 2
+    or m log p."""
     rate = escape_rate(system, place, lift, tol)
-    if rate.is_exact:
-        q = rate.exact.padic.get(place.p, Fraction(0))
-        if q <= 0:
-            return lift
-        # |p^m|_p = p^-m: multiplying by p^m lowers the rate by m log p
-        return lift.scaled(Fraction(place.p) ** math.ceil(q))
-    h = rate.value + rate.error
-    if h <= 0:
+    if rate.total() + rate.arch_err <= 0:
         return lift
-    if place.is_archimedean:
-        m = math.ceil(h / math.log(2) + 1e-12) + 1
-        return lift.scaled(Fraction(1, 2**m))
-    m = math.ceil(h / math.log(place.p) + 1e-12) + 1
-    return lift.scaled(Fraction(place.p) ** m)
+    b = 2 if place.is_archimedean else place.p
+    # the exact part of the ledger needs ceil(q) steps, its float part
+    # (with the error bound) a rounding margin
+    m = math.ceil(rate.padic.get(place.p, 0))
+    upper = rate.arch + rate.arch_err
+    if upper:
+        m += math.ceil(upper / math.log(b) + 1e-12) + 1
+    return lift.scaled(Fraction(1, 2**m) if place.is_archimedean else Fraction(b) ** m)
 
 
 # Grid points sample_julia_tuple tries before giving up.
@@ -214,6 +212,7 @@ class AdelicEntry:
     envelope_sum: float = 0.0
     witness_sum: float | None = None
     fitted_c: float = 0.0
+    witness_notes: dict = field(default_factory=dict)  # place repr -> why None
 
 
 @dataclass
@@ -237,6 +236,7 @@ class AdelicReport:
                     "envelope_sum": e.envelope_sum,
                     "witness_sum": e.witness_sum,
                     "fitted_c": e.fitted_c,
+                    **({"witness_notes": e.witness_notes} if e.witness_notes else {}),
                 }
                 for e in self.entries
             ],
@@ -248,6 +248,17 @@ def report_places(system: DynSystem) -> list[Place]:
     resultant or of any coefficient."""
     probe = ProjPoint.exact([1] * system.map.nvars)
     return contributing_places(system, probe)
+
+
+def _witness_or_note(compute):
+    """(witness as a float, None), or (None, the reason there is none)."""
+    try:
+        w = compute()
+    except (PreconditionError, InternalCheckError) as exc:
+        return None, str(exc)
+    if w is MINUS_INFINITY:
+        return None, "the tuple's evaluation determinant vanishes"
+    return w.total(), None
 
 
 def adelic_report(system: DynSystem, n_list, budget: int = 4000, seed: int = 7,
@@ -263,20 +274,19 @@ def adelic_report(system: DynSystem, n_list, budget: int = 4000, seed: int = 7,
         c = basis.cn
         envs = {}
         wits = {}
+        notes = {}
         for place in places:
             r_log = julia_radius_log(system, place)
             envs[repr(place)] = hadamard_envelope(system, n, r_log, place) / (n * c)
-            try:
-                if place.is_archimedean:
-                    res = fekete_search(system, basis, n, budget, seed)
-                    wit = res.witness.total()
-                else:
-                    lifts = sample_julia_tuple(system, basis, place, tol)
-                    w = dbn_witness(system, basis, lifts, place, tol)
-                    wit = None if w is MINUS_INFINITY else w.total()
-            except (PreconditionError, InternalCheckError):
-                wit = None
+            if place.is_archimedean:
+                wit, note = _witness_or_note(
+                    lambda: fekete_search(system, basis, n, budget, seed).witness)
+            else:
+                wit, note = _witness_or_note(lambda: dbn_witness(
+                    system, basis, sample_julia_tuple(system, basis, place, tol), place, tol))
             wits[repr(place)] = wit
+            if note is not None:
+                notes[repr(place)] = note
             if wit is not None and wit > envs[repr(place)] + 1e-6:
                 raise InternalCheckError(
                     f"witness {wit} exceeds envelope {envs[repr(place)]} at {place} (n={n})"
@@ -285,7 +295,7 @@ def adelic_report(system: DynSystem, n_list, budget: int = 4000, seed: int = 7,
         wit_vals = [w for w in wits.values() if w is not None]
         wit_sum = math.fsum(wit_vals) if len(wit_vals) == len(places) else None
         fitted = env_sum * n / math.log(n) if n >= 2 else 0.0
-        entries.append(AdelicEntry(n, c, envs, wits, env_sum, wit_sum, fitted))
+        entries.append(AdelicEntry(n, c, envs, wits, env_sum, wit_sum, fitted, notes))
     c_fit = max((e.fitted_c for e in entries), default=0.0)
     return AdelicReport([repr(p) for p in places], entries, c_fit)
 
@@ -312,16 +322,13 @@ def transfin_trend(system: DynSystem, n_list, places=None, tol: float = 1e-9):
                 continue
             r_log = julia_radius_log(system, place)
             row["envelope_logd"] = hadamard_envelope(system, n, r_log, place) / (n * c)
-            try:
-                if place.is_archimedean:
-                    lifts = roots_of_unity_tuple(c)
-                else:
-                    lifts = sample_julia_tuple(system, basis, place, tol)
-                w = dbn_witness(system, basis, lifts, place, tol)
-                row["witness_logd"] = None if w is MINUS_INFINITY else w.total()
-            except (PreconditionError, InternalCheckError) as exc:
-                row["witness_logd"] = None
-                row["witness_note"] = str(exc)
+            row["witness_logd"], note = _witness_or_note(lambda: dbn_witness(
+                system, basis,
+                roots_of_unity_tuple(c) if place.is_archimedean
+                else sample_julia_tuple(system, basis, place, tol),
+                place, tol))
+            if note is not None:
+                row["witness_note"] = note
             rows.append(row)
     return rows
 

@@ -28,26 +28,6 @@ from .pffield import (LogMag, MINUS_INFINITY, PLUS_INFINITY, Place, abs_log)
 NUMERIC_COND_LIMIT = 1e13
 
 
-@dataclass
-class EvalDetLog:
-    """log|det| of a basis evaluation matrix at a place.
-
-    `value` is a LogMag, or MINUS_INFINITY when the matrix is exactly
-    singular (exact mode) or numerically rank-deficient beyond the
-    condition threshold (numeric mode, with the flag set).
-    """
-
-    value: object
-    dimension: int
-    degree: int
-    numeric: bool = False
-    numeric_rank_deficient: bool = False
-
-    @property
-    def is_minus_infinity(self) -> bool:
-        return self.value is MINUS_INFINITY
-
-
 def _eval_matrix(system: DynSystem, basis: BasisFamily, lifts):
     rows = []
     for pt in lifts:
@@ -56,8 +36,10 @@ def _eval_matrix(system: DynSystem, basis: BasisFamily, lifts):
     return rows
 
 
-def eval_det_log(system: DynSystem, basis: BasisFamily, lifts, place: Place) -> EvalDetLog:
-    """log|det(eta_j(P_i))|_v; exact when the lifts are exact."""
+def eval_det_log(system: DynSystem, basis: BasisFamily, lifts, place: Place):
+    """log|det(eta_j(P_i))|_v as a LogMag, exact when the lifts are exact;
+    MINUS_INFINITY when the matrix is exactly singular or numerically
+    rank-deficient beyond the condition threshold."""
     c = len(basis.elements)
     if len(lifts) != c:
         raise DimensionMismatch(f"need {c} lifts, got {len(lifts)}")
@@ -70,18 +52,16 @@ def eval_det_log(system: DynSystem, basis: BasisFamily, lifts, place: Place) -> 
     rows = _eval_matrix(system, basis, lifts)
     if not numeric:
         det = det_fraction(rows)
-        if det == 0:
-            return EvalDetLog(MINUS_INFINITY, c, basis.n)
-        return EvalDetLog(abs_log(place, det), c, basis.n)
+        return MINUS_INFINITY if det == 0 else abs_log(place, det)
     m = np.array(rows, dtype=complex)
     sign, logabs = np.linalg.slogdet(m)
     if sign == 0 or not np.isfinite(logabs):
-        return EvalDetLog(MINUS_INFINITY, c, basis.n, True, True)
+        return MINUS_INFINITY
     cond = np.linalg.cond(m)
     if not np.isfinite(cond) or cond > NUMERIC_COND_LIMIT:
-        return EvalDetLog(MINUS_INFINITY, c, basis.n, True, True)
+        return MINUS_INFINITY
     err = c * np.finfo(float).eps * cond + 1e-15
-    return EvalDetLog(LogMag.of_float(float(logabs), float(err)), c, basis.n, True)
+    return LogMag.of_float(float(logabs), float(err))
 
 
 def green_value(system: DynSystem, basis: BasisFamily, lifts, place: Place,
@@ -94,15 +74,14 @@ def green_value(system: DynSystem, basis: BasisFamily, lifts, place: Place,
     if convention is None:
         convention = system.r_convention
     det = eval_det_log(system, basis, lifts, place)
-    if det.is_minus_infinity:
+    if det is MINUS_INFINITY:
         return PLUS_INFINITY
     c = len(basis.elements)
     n = basis.n
-    acc = det.value.scale(Fraction(-1, n * c))
+    acc = det.scale(Fraction(-1, n * c))
     for pt in lifts:
         rate = escape_rate(system, place, pt, tol / max(c, 1))
-        part = rate.exact if rate.is_exact else LogMag.of_float(rate.value, rate.error)
-        acc = acc + part.scale(Fraction(1, c))
+        acc = acc + rate.scale(Fraction(1, c))
     acc = acc + r_normalized(system.map, place, convention, resultant=system.resultant)
     return acc
 
@@ -132,9 +111,9 @@ def dbn_witness(system: DynSystem, basis: BasisFamily, lifts, place: Place,
         if not on_hypersurface(system, pt, tol):
             raise PreconditionError(f"lift {i} does not lie on the hypersurface")
     det = eval_det_log(system, basis, lifts, place)
-    if det.is_minus_infinity:
+    if det is MINUS_INFINITY:
         return MINUS_INFINITY
-    return det.value.scale(Fraction(1, basis.n * c))
+    return det.scale(Fraction(1, basis.n * c))
 
 
 def julia_radius_log(system: DynSystem, place: Place) -> float:
@@ -206,7 +185,7 @@ def fekete_search(system: DynSystem, basis: BasisFamily, n: int, budget: int,
             return got
         evals += 1
         pt = ProjPoint.of_numeric([cmath.exp(1j * theta), 1.0])
-        h = escape_rate(system, arch, pt, esc_tol).value
+        h = escape_rate(system, arch, pt, esc_tol).total()
         orbit = {}
         raw = [el.evaluate_at(system, pt, orbit) for el in basis.elements]
         row = np.array(raw, dtype=complex) * math.exp(-n * h)
@@ -282,7 +261,7 @@ def fekete_search(system: DynSystem, basis: BasisFamily, n: int, budget: int,
     lifts = []
     for th in best_thetas:
         pt = ProjPoint.of_numeric([cmath.exp(1j * th), 1.0])
-        h = escape_rate(system, arch, pt, esc_tol).value
+        h = escape_rate(system, arch, pt, esc_tol).total()
         lifts.append(pt.scaled(cmath.exp(-h)))
     witness = LogMag.of_float(best_val / (n * c), 1e-12 + abs(best_val) * 1e-14)
     return FeketeResult(best_thetas, lifts, witness, best_val, evals)

@@ -11,17 +11,17 @@ the tolerance budget split evenly among them.
 import math
 from dataclasses import dataclass, field
 
-from .dynsys import DynSystem, EscapeRate, escape_rate
+from .dynsys import DynSystem, escape_rate
 from .errors import DomainError
 from .homopoly import ProjPoint
-from .pffield import LogMag, Place, log_abs, support
+from .pffield import Place, support, sup_log
 
 
 @dataclass
 class HeightValue:
     value: float
     error: float
-    local_profile: dict = field(default_factory=dict)  # Place -> EscapeRate
+    local_profile: dict = field(default_factory=dict)  # Place -> LogMag
 
 
 def _coordinate_places(point: ProjPoint) -> set[Place]:
@@ -50,27 +50,25 @@ def weil_height(point: ProjPoint) -> HeightValue:
     if point.numeric:
         raise DomainError("Weil height needs an exact rational lift")
     profile = {}
-    parts = []
-    err = 0.0
     for place in sorted(_coordinate_places(point)):
-        if place.is_archimedean:
-            big = max(abs(x) for x in point.lift)
-            val, e = log_abs(big)
-            mag = LogMag.of_float(val, e)
-        else:
-            v = min(place.valuation(x) for x in point.lift if x != 0)
-            mag = LogMag.of_log_prime(place.p, -v)
+        mag = sup_log(place, point.lift)
         if not mag.is_zero() or place.is_archimedean:
-            profile[place] = EscapeRate(mag.total(), mag.total_err(), mag)
-        parts.append(mag.total())
-        err += mag.total_err()
-    return HeightValue(math.fsum(parts), err, profile)
+            profile[place] = mag
+    return _summed(profile)
 
 
-def local_height_profile(system: DynSystem, point: ProjPoint, tol: float = 1e-9) -> HeightValue:
-    """Per-place escape rates of the given lift, plus the invariant
-    total.  Replacing the lift by c*lift shifts each local entry by
-    log|c|_v; the total is unchanged (product formula)."""
+def _summed(profile: dict) -> HeightValue:
+    """The height whose local terms are the profile's ledgers."""
+    return HeightValue(math.fsum(m.total() for m in profile.values()),
+                       sum(m.arch_err for m in profile.values()), profile)
+
+
+def canonical_height(system: DynSystem, point: ProjPoint, tol: float = 1e-9) -> HeightValue:
+    """Canonical height of a rational point: the sum of its local escape
+    rates, total error at most tol (plus float slop).  The profile holds
+    the escape rate of the given lift at each contributing place;
+    replacing the lift by c*lift shifts each entry by log|c|_v and leaves
+    the total unchanged (product formula)."""
     if point.numeric:
         raise DomainError("height profile needs an exact rational lift")
     if tol <= 0:
@@ -78,19 +76,7 @@ def local_height_profile(system: DynSystem, point: ProjPoint, tol: float = 1e-9)
     places = contributing_places(system, point)
     inexact = [v for v in places if v.is_archimedean or not system.reduction(v).good]
     tol_each = tol / max(len(inexact), 1)
-    profile = {}
-    parts = []
-    err = 0.0
-    for place in places:
-        rate = escape_rate(system, place, point,
-                           tol_each if place in inexact else tol)
-        profile[place] = rate
-        parts.append(rate.value)
-        err += rate.error
-    return HeightValue(math.fsum(parts), err, profile)
-
-
-def canonical_height(system: DynSystem, point: ProjPoint, tol: float = 1e-9) -> HeightValue:
-    """Canonical height of a rational point: the sum of its local escape
-    rates, total error at most tol (plus float slop)."""
-    return local_height_profile(system, point, tol)
+    profile = {place: escape_rate(system, place, point,
+                                  tol_each if place in inexact else tol)
+               for place in places}
+    return _summed(profile)

@@ -12,7 +12,7 @@ import re
 from fractions import Fraction
 
 from .errors import DimensionMismatch, DomainError, InputError, ResourceLimit
-from .pffield import LogMag, Place, log_abs, parse_rational
+from .pffield import LogMag, Place, parse_rational, sup_log
 
 # Intermediate expansion cap for products/compositions (total stored terms).
 TERM_CAP = 10**7
@@ -361,12 +361,7 @@ def coeff_sup_log(pm: PolyMap, place: Place) -> LogMag:
     coeffs = [c for f in pm.forms for c in f.coeffs.values()]
     if not coeffs:
         raise DomainError("zero map has no coefficient norm")
-    if place.is_archimedean:
-        big = max(abs(c) for c in coeffs)
-        val, err = log_abs(big)
-        return LogMag.of_float(val, err)
-    v = min(place.valuation(c) for c in coeffs)
-    return LogMag.of_log_prime(place.p, -v) if v else LogMag.zero()
+    return sup_log(place, coeffs)
 
 
 # ---------------------------------------------------------------------------

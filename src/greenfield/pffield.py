@@ -107,7 +107,18 @@ class Place:
         """ord_p(x) for nonzero rational x; undefined at the archimedean place."""
         if self.p is None:
             raise DomainError("archimedean place has no valuation")
-        return _ord(Fraction(x), self.p)
+        x = Fraction(x)
+        if x == 0:
+            raise DomainError("valuation of zero")
+        v = 0
+        n, d = x.numerator, x.denominator
+        while n % self.p == 0:
+            n //= self.p
+            v += 1
+        while d % self.p == 0:
+            d //= self.p
+            v -= 1
+        return v
 
     def __repr__(self):
         return "inf" if self.p is None else f"p={self.p}"
@@ -123,22 +134,6 @@ class Place:
             except (ValueError, DomainError) as exc:
                 raise InputError(f"not a place: {s!r} ({exc})")
         raise InputError(f"not a place: {s!r} (expected 'inf' or 'p=<prime>')")
-
-
-def _ord(x: Fraction, p: int) -> int:
-    """p-adic valuation of a nonzero rational."""
-    if x == 0:
-        raise DomainError("valuation of zero")
-    v = 0
-    n = x.numerator
-    while n % p == 0:
-        n //= p
-        v += 1
-    d = x.denominator
-    while d % p == 0:
-        d //= p
-        v -= 1
-    return v
 
 
 def log_abs(x) -> tuple[float, float]:
@@ -268,8 +263,18 @@ def abs_log(place: Place, x) -> LogMag:
     if place.is_archimedean:
         val, err = log_abs(x)
         return LogMag.of_float(val, err)
-    v = _ord(x, place.p)
+    v = place.valuation(x)
     return LogMag.of_log_prime(place.p, -v) if v else LogMag.zero()
+
+
+def sup_log(place: Place, values) -> LogMag:
+    """log max_i |x_i|_v over the nonzero rationals among the values."""
+    xs = [Fraction(x) for x in values if x != 0]
+    if not xs:
+        raise DomainError("sup-norm of zero values")
+    if place.is_archimedean:
+        return abs_log(place, max(abs(x) for x in xs))
+    return abs_log(place, min(xs, key=place.valuation))
 
 
 def support(x) -> set[Place]:

@@ -141,7 +141,32 @@ def test_exit_codes(capsys, tmp_path, power_cfg):
     assert run(["escape", power_cfg, "--point", "1,1", "--place", "q=3"]) == 2
     assert run(["escape", power_cfg, "--point", "1/0,1"]) == 2
     assert run(["nonsense"]) == 2
+    assert run(["resultant", str(tmp_path)]) == 2  # a directory
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"N": 1, "d": 2, "forms": ["x0^2", "x1^2"], "note": "caf\xe9"}')
+    assert run(["resultant", str(latin1)]) == 2
+    assert run(["multiples", "--curve", "0,-2", "--point", "3", "--n", "2"]) == 2
+    assert run(["lehmer-scan", "--curve", "0", "--point", "3,5"]) == 2
     capsys.readouterr()
+
+
+def test_local_entries_follow_the_ledger_rule(capsys, half_cfg):
+    # every local entry reports value = total(), error = arch_err and
+    # exact = is_exact, the Weil block included
+    code, out = run_json(capsys, ["height", half_cfg, "--point", "3/2,1"])
+    assert code == 0
+    payload = json.loads(out)
+    for block in ("canonical", "weil"):
+        for entry in payload[block]["local_profile"].values():
+            assert entry["exact"] == (entry["error"] == 0.0)
+    weil = payload["weil"]["local_profile"]
+    assert weil["inf"]["exact"] is False
+    assert weil["p=2"] == {"error": 0.0, "exact": True, "value": math.log(2)}
+    assert payload["canonical"]["local_profile"]["p=3"]["exact"] is True
+    for place, exact in (("inf", False), ("p=2", False), ("p=3", True)):
+        code, out = run_json(capsys, ["escape", half_cfg, "--point", "3/2,1",
+                                      "--place", place])
+        assert code == 0 and json.loads(out)["exact"] is exact
 
 
 def test_non_finite_tol_is_a_parse_error(capsys, tmp_path, power_cfg):

@@ -13,6 +13,7 @@ import pytest
 from greenfield.basis import section_dim, special_basis
 from greenfield.dynsys import DynSystem, check_invariance
 from greenfield.errors import PreconditionError
+from greenfield.experiments import adelic_report
 from greenfield.green import dbn_witness, eval_det_log, green_value, hadamard_envelope, julia_radius_log
 from greenfield.homopoly import ProjPoint, parse_form, parse_map
 from greenfield.linalg import det_fraction
@@ -57,10 +58,10 @@ def test_eval_det_nonsingular_at_distinct_parameters(conic):
     fam = special_basis(conic, n)
     lifts = [veronese(k, 1) for k in range(2 * n + 1)]
     res = eval_det_log(conic, fam, lifts, ARCH)
-    assert not res.is_minus_infinity
+    assert res is not MINUS_INFINITY
     # repeated parameter kills the determinant
     bad = lifts[:-1] + [veronese(0, 1)]
-    assert eval_det_log(conic, fam, bad, ARCH).is_minus_infinity
+    assert eval_det_log(conic, fam, bad, ARCH) is MINUS_INFINITY
 
 
 def test_dbn_witness_checks_the_hypersurface(conic):
@@ -70,6 +71,12 @@ def test_dbn_witness_checks_the_hypersurface(conic):
     off = lifts[:-1] + [ProjPoint.exact([1, 1, 2])]  # not on the conic
     with pytest.raises(PreconditionError, match="hypersurface"):
         dbn_witness(conic, fam, off, Place.prime(7))
+
+
+def test_adelic_report_says_why_a_witness_is_missing(conic):
+    entry = adelic_report(conic, [6], budget=50).to_dict()["entries"][0]
+    assert entry["witnesses"] == {"inf": None}
+    assert "X = P^1" in entry["witness_notes"]["inf"]  # the angle chart
 
 
 def test_witness_nonpositive_at_good_places(conic):

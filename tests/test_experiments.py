@@ -128,6 +128,16 @@ def test_scale_into_julia(power_map, half_map):
         assert julia_membership(system, place, scaled, 1e-9) is not Membership.OUTSIDE
 
 
+def test_scale_into_julia_exact_ledger_takes_ceil():
+    # (x^2/2, y^2/2) has good reduction at 2 with t = -1, so [7:1] has the
+    # exact rate log 2 there and one factor 2 brings it to 0
+    system = DynSystem(parse_map(["1/2*x0^2", "1/2*x1^2"]))
+    place = Place.prime(2)
+    assert system.reduction(place).good
+    lift = ProjPoint.exact([7, 1])
+    assert scale_into_julia(system, place, lift, 1e-9).lift == lift.scaled(2).lift
+
+
 def test_sample_julia_tuple(power_map, half_map):
     basis = monomial_basis(1, 3)
     for system in (power_map, half_map):
@@ -150,6 +160,7 @@ def test_adelic_report_power_map(power_map):
     assert all(sums[i + 1] <= sums[i] + 1e-12 for i in range(len(sums) - 1))
     d = report.to_dict()
     assert d["schema"] == "greenfield-report/1"
+    assert all("witness_notes" not in e for e in d["entries"])  # none missing
 
 
 def test_adelic_report_half_map(half_map):
@@ -178,10 +189,10 @@ def test_adelic_product_formula_for_exact_tuples(power_map):
     det = det_fraction(rows)
     if det != 0:
         from sympy import factorint
-        total = eval_det_log(power_map, basis, lifts, ARCH).value
+        total = eval_det_log(power_map, basis, lifts, ARCH)
         for place in sorted(support(det)):
             if not place.is_archimedean:
-                total = total + eval_det_log(power_map, basis, lifts, place).value
+                total = total + eval_det_log(power_map, basis, lifts, place)
         # symbolic part is exactly minus the factorization of |det|
         expect = {p: -Fraction(e) for p, e in factorint(det.numerator).items() if p > 1}
         for p, e in factorint(det.denominator).items():

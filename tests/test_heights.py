@@ -4,11 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+from greenfield.dynsys import escape_rate
 from greenfield.errors import DomainError
-from greenfield.heights import (canonical_height, contributing_places,
-                                local_height_profile, weil_height)
+from greenfield.heights import canonical_height, contributing_places, weil_height
 from greenfield.homopoly import ProjPoint
-from greenfield.pffield import Place, abs_log
+from greenfield.pffield import LogMag, Place, abs_log
 
 ARCH = Place.archimedean()
 
@@ -60,14 +60,14 @@ def test_canonical_height_preperiodic_points(power_map, chebyshev):
 
 
 def test_local_profile_examples(power_map):
-    prof = local_height_profile(power_map, ProjPoint.exact([2, 1]), 1e-10)
+    prof = canonical_height(power_map, ProjPoint.exact([2, 1]), 1e-10)
     entries = {repr(k): v for k, v in prof.local_profile.items()}
-    assert entries["inf"].value == pytest.approx(math.log(2), abs=1e-10)
-    assert entries["p=2"].exact.is_zero()
-    prof2 = local_height_profile(power_map, ProjPoint.exact([4, 2]), 1e-10)
+    assert entries["inf"].total() == pytest.approx(math.log(2), abs=1e-10)
+    assert entries["p=2"].is_zero()
+    prof2 = canonical_height(power_map, ProjPoint.exact([4, 2]), 1e-10)
     entries2 = {repr(k): v for k, v in prof2.local_profile.items()}
-    assert entries2["inf"].value == pytest.approx(math.log(4), abs=1e-10)
-    assert entries2["p=2"].exact.padic == {2: Fraction(-1)}
+    assert entries2["inf"].total() == pytest.approx(math.log(4), abs=1e-10)
+    assert entries2["p=2"].padic == {2: Fraction(-1)}
     assert prof2.value == pytest.approx(prof.value, abs=1e-10)
 
 
@@ -76,22 +76,42 @@ def test_profile_lift_change_shifts_by_abs_log(power_map, half_map):
     for system in (power_map, half_map):
         pt = ProjPoint.exact([3, 2])
         lam = Fraction(rng.randint(1, 60), rng.randint(1, 60))
-        p1 = local_height_profile(system, pt, 1e-11)
-        p2 = local_height_profile(system, pt.scaled(lam), 1e-11)
+        p1 = canonical_height(system, pt, 1e-11)
+        p2 = canonical_height(system, pt.scaled(lam), 1e-11)
         places = set(p1.local_profile) | set(p2.local_profile)
         for place in places:
             r1 = p1.local_profile.get(place)
             r2 = p2.local_profile.get(place)
-            v1 = r1.value if r1 else 0.0
-            v2 = r2.value if r2 else 0.0
+            v1 = r1.total() if r1 else 0.0
+            v2 = r2.total() if r2 else 0.0
             shift = abs_log(place, lam).total()
             if r1 is not None and r2 is not None and r1.is_exact and r2.is_exact:
-                diff = r2.exact - r1.exact
+                diff = r2 - r1
                 assert diff.padic == abs_log(place, lam).padic  # exact
             else:
                 assert v2 - v1 == pytest.approx(shift, abs=1e-9)
         # invariant total
         assert p2.value == pytest.approx(p1.value, abs=1e-9)
+
+
+def test_one_reporting_rule(power_map, half_map):
+    # every local quantity is a LogMag, exact iff it carries no float
+    # error; exact ledgers arise exactly at good nonarchimedean places
+    pt = ProjPoint.exact([Fraction(3, 2), 1])
+    for system, place, exact in ((half_map, Place.archimedean(), False),
+                                 (half_map, Place.prime(2), False),
+                                 (half_map, Place.prime(3), True),
+                                 (power_map, Place.prime(2), True)):
+        rate = escape_rate(system, place, pt, 1e-10)
+        assert isinstance(rate, LogMag)
+        assert rate.is_exact is exact
+        assert rate.is_exact == (rate.arch_err == 0)
+    for h in (canonical_height(half_map, pt, 1e-10), weil_height(pt)):
+        assert h.local_profile
+        for mag in h.local_profile.values():
+            assert isinstance(mag, LogMag)
+            assert mag.is_exact == (mag.arch_err == 0)
+        assert h.error == sum(m.arch_err for m in h.local_profile.values())
 
 
 def test_functional_equation(power_map, chebyshev, half_map):

@@ -3,7 +3,7 @@
 All randomness is seeded, outputs are emitted with sorted keys, and
 rationals are serialized as strings, so identical invocations produce
 byte-identical output.  Exit codes: 0 success, 1 precondition/domain
-violations, 2 parse errors.
+violations and failed internal checks, 2 parse errors.
 """
 
 import argparse
@@ -537,8 +537,7 @@ def run(argv) -> int:
     except errors.InputError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except (errors.DomainError, errors.PreconditionError, errors.NotAMorphism,
-            errors.ResourceLimit, errors.DimensionMismatch) as exc:
+    except errors.GreenfieldError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except (OSError, UnicodeDecodeError) as exc:

@@ -201,31 +201,25 @@ def fekete_search(system: DynSystem, basis: BasisFamily, n: int, budget: int,
 
     # Leja initialization over a seeded pool: pick the row with the
     # largest component orthogonal to the span of the rows chosen so far.
+    # Each untaken row keeps that residual; a pick subtracts one direction.
     pool_size = min(max(4 * c, 48), max(budget - c, 1))
     pool = [rng.uniform(0.0, 2.0 * math.pi) for _ in range(pool_size)]
     pool_rows = [row_at(th) for th in pool]
     thetas = []
-    ortho = []
-    taken = set()
+    resids = {i: row.copy() for i, row in enumerate(pool_rows)}
     for _ in range(min(c, pool_size)):
         best_i, best_score = None, -1.0
-        for i, row in enumerate(pool_rows):
-            if i in taken:
-                continue
-            resid = row.copy()
-            for q in ortho:
-                resid -= q.conj().dot(resid) * q
+        for i, resid in resids.items():
             score = float(np.linalg.norm(resid))
             if score > best_score:
                 best_i, best_score = i, score
-        taken.add(best_i)
         thetas.append(pool[best_i])
-        resid = pool_rows[best_i].copy()
-        for q in ortho:
-            resid -= q.conj().dot(resid) * q
+        resid = resids.pop(best_i)
         nrm = float(np.linalg.norm(resid))
         if nrm > 0:
-            ortho.append(resid / nrm)
+            q = resid / nrm
+            for other in resids.values():
+                other -= q.conj().dot(other) * q
     while len(thetas) < c:  # degenerate pool; spread points evenly
         thetas.append(2.0 * math.pi * len(thetas) / c)
 

@@ -1,5 +1,6 @@
-"""Exact linear algebra over Q: fraction-free determinants, echelon
-solves with a fixed column preference, and an incremental rank tracker.
+"""Exact linear algebra over Q with two kernels: fraction-free Bareiss
+determinants and one Gauss-Jordan elimination, the incremental reduced
+row echelon form of `IncrementalRank`, which the echelon solve reads.
 
 Everything here is deterministic; no modular or floating-point
 shortcuts.  Matrices are lists of lists (row-major).
@@ -75,54 +76,25 @@ def solve_preferring_early_columns(rows, rhs):
     set to zero).  `rhs` may be a single column or a list of columns;
     returns None for an inconsistent system.
 
-    Columns are scanned left to right and each new pivot takes the first
-    unused row with a nonzero entry, so the pivot column set (and hence
-    the returned solution) is deterministic.
+    Reads the reduced row echelon form of [A | B]: its pivots inside A
+    are the earliest independent columns, and a pivot inside B means
+    some b is not in the column span of A.
     """
     single = not isinstance(rhs[0], (list, tuple))
-    cols_b = [list(rhs)] if single else [list(b) for b in rhs]
+    bs = [rhs] if single else rhs
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
-    a = [[Fraction(x) for x in r] for r in rows]
-    bs = [[Fraction(x) for x in b] for b in cols_b]
-    for b in bs:
-        if len(b) != nrows:
-            raise DimensionMismatch("rhs length mismatch")
-    used = [False] * nrows
-    pivots = []  # (row, col)
-    for col in range(ncols):
-        piv = None
-        for i in range(nrows):
-            if not used[i] and a[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        used[piv] = True
-        pivots.append((piv, col))
-        inv = 1 / a[piv][col]
-        a[piv] = [x * inv for x in a[piv]]
-        for b in bs:
-            b[piv] *= inv
-        for i in range(nrows):
-            if i != piv and a[i][col] != 0:
-                f = a[i][col]
-                ai, ap = a[i], a[piv]
-                for j in range(col, ncols):
-                    if ap[j]:
-                        ai[j] -= f * ap[j]
-                for b in bs:
-                    b[i] -= f * b[piv]
-    # consistency: rows with no pivot must have zero rhs
-    sols = []
-    for b in bs:
-        for i in range(nrows):
-            if not used[i] and b[i] != 0:
-                return None
-        z = [Fraction(0)] * ncols
-        for i, col in pivots:
-            z[col] = b[i]
-        sols.append(z)
+    if any(len(b) != nrows for b in bs):
+        raise DimensionMismatch("rhs length mismatch")
+    tracker = IncrementalRank(ncols + len(bs))
+    for i, r in enumerate(rows):
+        tracker.add(list(r) + [b[i] for b in bs])
+    if any(piv >= ncols for piv in tracker.rows):
+        return None
+    sols = [[Fraction(0)] * ncols for _ in bs]
+    for piv, row in tracker.rows.items():
+        for z, x in zip(sols, row[ncols:]):
+            z[piv] = x
     return sols[0] if single else sols
 
 
@@ -132,13 +104,15 @@ class IncrementalRank:
 
     def __init__(self, dim: int):
         self.dim = dim
-        self.rows = {}  # pivot column -> reduced row (pivot entry 1)
+        self.rows = {}  # pivot column -> its row of the reduced row echelon form
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
-    def reduce(self, vec):
+    def add(self, vec) -> int | None:
+        """Insert the vector; returns its pivot column if it increased
+        the rank, else None."""
         v = [Fraction(x) for x in vec]
         if len(v) != self.dim:
             raise DimensionMismatch("vector dimension mismatch")
@@ -148,12 +122,6 @@ class IncrementalRank:
                 for j in range(piv, self.dim):
                     if row[j]:
                         v[j] -= c * row[j]
-        return v
-
-    def add(self, vec) -> int | None:
-        """Insert the vector; returns its pivot column if it increased
-        the rank, else None."""
-        v = self.reduce(vec)
         piv = None
         for j in range(self.dim):
             if v[j]:

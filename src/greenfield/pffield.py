@@ -235,11 +235,6 @@ class LogMag:
         """Evaluate the ledger to a float (symbolic part included)."""
         return math.fsum([self.arch] + [float(q) * math.log(p) for p, q in sorted(self.padic.items())])
 
-    def total_err(self) -> float:
-        """Error bound for total(): tracked arch error plus evaluation ulps."""
-        slop = sum(2.0 * math.ulp(abs(float(q)) * math.log(p) + 1.0) for p, q in self.padic.items())
-        return self.arch_err + slop
-
     def __eq__(self, other):
         return (
             isinstance(other, LogMag)
@@ -298,8 +293,9 @@ def product_formula_sum(x) -> LogMag:
     """Sum of abs_log(v, x) over support(x) plus the archimedean place.
 
     The padic part of the result is exactly the negation of the prime
-    factorization of |x|, so the ledger certifies the product formula:
-    total() is 0 within total_err().
+    factorization of |x|, which is the certificate of the product
+    formula; total() is 0 only up to the rounding of log|x| and of the
+    float sum.
     """
     x = Fraction(x)
     if x == 0:

@@ -147,7 +147,14 @@ def test_exit_codes(capsys, tmp_path, power_cfg):
     assert run(["resultant", str(latin1)]) == 2
     assert run(["multiples", "--curve", "0,-2", "--point", "3", "--n", "2"]) == 2
     assert run(["lehmer-scan", "--curve", "0", "--point", "3,5"]) == 2
+    # a coefficient that complex() rounds to 0.0 fails an internal check
+    tiny = tmp_path / "tiny.json"
+    tiny.write_text(json.dumps({"N": 1, "d": 2,
+                                "forms": ["x0^2 - x0*x1", f"1/{10**400}*x1^2"]}))
     capsys.readouterr()
+    assert run(["escape", str(tiny), "--point", "1,1"]) == 1
+    assert capsys.readouterr().err == \
+        "error: orbit underflowed to zero at the archimedean place\n"
 
 
 def test_local_entries_follow_the_ledger_rule(capsys, half_cfg):

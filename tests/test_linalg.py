@@ -2,6 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from greenfield.errors import DimensionMismatch
 from greenfield.linalg import (IncrementalRank, bareiss_det, det_fraction,
@@ -71,3 +74,47 @@ def test_incremental_rank():
     assert tr.add([0, 0, 5]) is not None
     assert tr.rank == 3
     assert tr.add([7, 8, 9]) is None
+
+
+@st.composite
+def rank_deficient_systems(draw):
+    """A = L R with inner dimension below min(rows, cols), plus 1-3
+    right-hand sides; each is A x for a small x or an arbitrary column."""
+    small = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    m = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 5))
+    r = draw(st.integers(0, min(m, n) - 1))
+    left = [[draw(small) for _ in range(r)] for _ in range(m)]
+    right = [[draw(small) for _ in range(n)] for _ in range(r)]
+    a = [[sum((left[i][k] * right[k][j] for k in range(r)), Fraction(0))
+          for j in range(n)] for i in range(m)]
+    bs = []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            x = [draw(small) for _ in range(n)]
+            bs.append([sum((a[i][j] * x[j] for j in range(n)), Fraction(0))
+                       for i in range(m)])
+        else:
+            bs.append([draw(small) for _ in range(m)])
+    return a, bs
+
+
+@settings(max_examples=150, deadline=None)
+@given(rank_deficient_systems())
+def test_solver_matches_sympy_rank_oracle(system):
+    a, bs = system
+    ma = sympy.Matrix(a)
+    n = ma.cols
+    rank_a = ma.rank()
+    consistent = all(ma.row_join(sympy.Matrix(b)).rank() == rank_a for b in bs)
+    sols = solve_preferring_early_columns(a, bs)
+    assert (sols is None) == (not consistent)
+    if sols is None:
+        return
+    # column j is among the earliest independent ones iff it raises the
+    # rank of the columns before it
+    early = {j for j in range(n)
+             if ma[:, :j + 1].rank() > (ma[:, :j].rank() if j else 0)}
+    for z, b in zip(sols, bs):
+        assert [sum(a[i][j] * z[j] for j in range(n)) for i in range(len(a))] == b
+        assert all(z[j] == 0 for j in range(n) if j not in early)

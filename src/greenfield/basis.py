@@ -26,7 +26,7 @@ from itertools import combinations_with_replacement
 
 from .errors import DomainError, InternalCheckError, ResourceLimit
 from .dynsys import DynSystem
-from .homopoly import HomoForm, ProjPoint, evaluate, form_str, monomials_of_degree
+from .homopoly import HomoForm, ProjPoint, _term_sum, form_str, monomials_of_degree
 from .linalg import IncrementalRank
 
 # Enumeration guardrail: abort after this multiple of c(n) candidates.
@@ -121,37 +121,17 @@ class GenElement:
 
     def evaluate_at(self, system: DynSystem, point: ProjPoint, orbit=None):
         """Value via the provenance: needs only the orbit of the point,
-        never the expanded form.  `orbit` caches F^(k)(P) vectors by k;
-        pass one dict per point when evaluating several elements."""
+        never the expanded form.  `orbit` caches F^(k)(P) vectors by k,
+        filled in order from k = 1; pass one dict per point when
+        evaluating several elements (as `BasisFamily.row` does)."""
         if orbit is None:
             orbit = {}
-        val = _monomial_value(self.eta, point.lift, point.numeric)
+        val = _term_sum({self.eta: 1}, point.lift)
         for i, k, j in self.factors:
-            vec = _orbit_vector(system, point, k, orbit)
-            val = val * vec[i] ** j
+            while len(orbit) < k:
+                orbit[len(orbit) + 1] = system.map.image(orbit.get(len(orbit), point.lift))
+            val = val * orbit[k][i] ** j
         return val
-
-
-def _monomial_value(expo, lift, numeric):
-    val = complex(1.0) if numeric else Fraction(1)
-    for x, a in zip(lift, expo):
-        if a:
-            val = val * x**a
-    return val
-
-
-def _orbit_vector(system: DynSystem, point: ProjPoint, k: int, cache: dict):
-    got = cache.get(k)
-    if got is not None:
-        return got
-    if k == 1:
-        vec = tuple(evaluate(f, point) for f in system.map.forms)
-    else:
-        prev = _orbit_vector(system, point, k - 1, cache)
-        pp = ProjPoint(prev, numeric=point.numeric)
-        vec = tuple(evaluate(f, pp) for f in system.map.forms)
-    cache[k] = vec
-    return vec
 
 
 def _degree_to_kj(system: DynSystem, m: int) -> tuple[int, int]:
@@ -181,6 +161,12 @@ class BasisFamily:
 
     def __len__(self):
         return len(self.elements)
+
+    def row(self, system: DynSystem, point: ProjPoint) -> list:
+        """The evaluation row (eta_j(P))_j; its elements share one orbit
+        of the point."""
+        orbit = {}
+        return [el.evaluate_at(system, point, orbit) for el in self.elements]
 
     def max_factor_count(self) -> int:
         return max((len(el.factors) for el in self.elements), default=0)

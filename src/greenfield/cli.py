@@ -34,6 +34,12 @@ def _check_tol(tol: float, where: str) -> float:
     return tol
 
 
+def _check_reached(error: float, tol: float):
+    """A tol below the float path's rounding slop fails, not passes."""
+    if error > tol:
+        raise errors.PreconditionError(f"error reached {error:.3g} exceeds tol {tol:g}")
+
+
 @dataclass
 class SystemConfig:
     N: int
@@ -191,6 +197,7 @@ def _cmd_height(args):
     tol = args.tol if args.tol is not None else cfg.tol
     point = _parse_point(args.point)
     h = canonical_height(system, point, tol)
+    _check_reached(h.error, tol)
     weil = weil_height(point)
     _emit(
         {
@@ -212,6 +219,7 @@ def _cmd_escape(args):
     point = _parse_point(args.point)
     place = Place.parse(args.place)
     rate = escape_rate(system, place, point, tol)
+    _check_reached(rate.arch_err, tol)
     member = julia_membership(system, place, point, tol)
     _emit(
         {

@@ -181,9 +181,7 @@ def sample_julia_tuple(system: DynSystem, basis: BasisFamily, place: Place,
             break
         tried += 1
         lift = scale_into_julia(system, place, cand, tol)
-        orbit = {}
-        row = [el.evaluate_at(system, lift, orbit) for el in basis.elements]
-        if tracker.add(row) is None:
+        if tracker.add(basis.row(system, lift)) is None:
             continue
         chosen.append(lift)
         if len(chosen) == c:
@@ -362,8 +360,7 @@ def multiples_search(system: DynSystem, orbit: list[ProjPoint], n: int,
     rows = []
     indices = []
     for k, lift in enumerate(orbit, start=1):
-        orbit_cache = {}
-        row = [el.evaluate_at(system, lift, orbit_cache) for el in basis.elements]
+        row = basis.row(system, lift)
         if tracker.add(row) is None:
             continue
         rows.append(row)

@@ -28,14 +28,6 @@ from .pffield import (LogMag, MINUS_INFINITY, PLUS_INFINITY, Place, abs_log)
 NUMERIC_COND_LIMIT = 1e13
 
 
-def _eval_matrix(system: DynSystem, basis: BasisFamily, lifts):
-    rows = []
-    for pt in lifts:
-        orbit = {}
-        rows.append([el.evaluate_at(system, pt, orbit) for el in basis.elements])
-    return rows
-
-
 def eval_det_log(system: DynSystem, basis: BasisFamily, lifts, place: Place):
     """log|det(eta_j(P_i))|_v as a LogMag, exact when the lifts are exact;
     MINUS_INFINITY when the matrix is exactly singular or numerically
@@ -49,7 +41,7 @@ def eval_det_log(system: DynSystem, basis: BasisFamily, lifts, place: Place):
     numeric = numeric_flags.pop()
     if numeric and not place.is_archimedean:
         raise DomainError("numeric lifts are archimedean-only")
-    rows = _eval_matrix(system, basis, lifts)
+    rows = [basis.row(system, pt) for pt in lifts]
     if not numeric:
         det = det_fraction(rows)
         return MINUS_INFINITY if det == 0 else abs_log(place, det)
@@ -176,21 +168,18 @@ def fekete_search(system: DynSystem, basis: BasisFamily, n: int, budget: int,
     arch = Place.archimedean()
     evals = 0
     esc_tol = 1e-12
-    row_cache: dict[float, np.ndarray] = {}
+    row_cache: dict[float, tuple] = {}  # theta -> (row, lift with escape rate 0)
 
     def row_at(theta):
         nonlocal evals
         got = row_cache.get(theta)
-        if got is not None:
-            return got
-        evals += 1
-        pt = ProjPoint.of_numeric([cmath.exp(1j * theta), 1.0])
-        h = escape_rate(system, arch, pt, esc_tol).total()
-        orbit = {}
-        raw = [el.evaluate_at(system, pt, orbit) for el in basis.elements]
-        row = np.array(raw, dtype=complex) * math.exp(-n * h)
-        row_cache[theta] = row
-        return row
+        if got is None:
+            evals += 1
+            pt = ProjPoint.of_numeric([cmath.exp(1j * theta), 1.0])
+            h = escape_rate(system, arch, pt, esc_tol).total()
+            row = np.array(basis.row(system, pt), dtype=complex) * math.exp(-n * h)
+            got = row_cache[theta] = (row, pt.scaled(cmath.exp(-h)))
+        return got[0]
 
     def log_det_of(ths):
         m = np.array([row_at(th) for th in ths])
@@ -252,10 +241,6 @@ def fekete_search(system: DynSystem, basis: BasisFamily, n: int, budget: int,
         if evals == sweep_start:
             break  # every probe hit the cache; nothing new to evaluate
 
-    lifts = []
-    for th in best_thetas:
-        pt = ProjPoint.of_numeric([cmath.exp(1j * th), 1.0])
-        h = escape_rate(system, arch, pt, esc_tol).total()
-        lifts.append(pt.scaled(cmath.exp(-h)))
+    lifts = [row_cache[th][1] for th in best_thetas]
     witness = LogMag.of_float(best_val / (n * c), 1e-12 + abs(best_val) * 1e-14)
     return FeketeResult(best_thetas, lifts, witness, best_val, evals)

@@ -71,7 +71,7 @@ def canonical_height(system: DynSystem, point: ProjPoint, tol: float = 1e-9) -> 
     the total unchanged (product formula)."""
     if point.numeric:
         raise DomainError("height profile needs an exact rational lift")
-    if tol <= 0:
+    if not tol > 0:
         raise DomainError("tol must be positive")
     places = contributing_places(system, point)
     inexact = [v for v in places if v.is_archimedean or not system.reduction(v).good]

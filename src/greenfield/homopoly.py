@@ -2,9 +2,15 @@
 
 Forms are stored sparsely as {exponent tuple: nonzero Fraction} with a
 canonical descending-lex term order (x0-major), which makes iteration,
-serialization and the greedy basis extraction deterministic.  Numeric
-(complex binary64) evaluation is a separate mode and is never silently
-coerced from exact mode.
+serialization and the greedy basis extraction deterministic.
+
+Every value of a form at a point comes from one kernel, `_term_sum`,
+which computes sum(c * x^expo) in the arithmetic of the coordinates:
+exactly for Fractions (exact lifts) and ints (the p-adic escape loop
+reduces the integer value mod p^W), and with compensated summation for
+complex binary64 coordinates (numeric lifts).  `evaluate` wraps it for
+one form at a `ProjPoint`; `PolyMap.image` applies all coordinate forms
+to a bare coordinate vector, which is one orbit step.
 """
 
 import math
@@ -209,15 +215,12 @@ class ProjPoint:
             raise DomainError("empty lift")
         if numeric:
             lift = tuple(complex(x) for x in lift)
-            if all(x == 0 for x in lift):
-                raise DomainError("zero lift")
+        elif any(isinstance(x, (float, complex)) for x in lift):
+            raise DomainError("numeric coordinate in exact lift")
         else:
-            for x in lift:
-                if isinstance(x, (float, complex)):
-                    raise DomainError("numeric coordinate in exact lift")
             lift = tuple(Fraction(x) for x in lift)
-            if all(x == 0 for x in lift):
-                raise DomainError("zero lift")
+        if all(x == 0 for x in lift):
+            raise DomainError("zero lift")
         self.lift = lift
         self.numeric = numeric
 
@@ -233,9 +236,8 @@ class ProjPoint:
         return len(self.lift)
 
     def scaled(self, c) -> "ProjPoint":
-        if self.numeric:
-            return ProjPoint([complex(c) * x for x in self.lift], numeric=True)
-        return ProjPoint([Fraction(c) * x for x in self.lift], numeric=False)
+        c = complex(c) if self.numeric else Fraction(c)
+        return ProjPoint([c * x for x in self.lift], self.numeric)
 
     def proportional_to(self, other: "ProjPoint") -> bool:
         """Projective equality test (exact lifts only)."""
@@ -256,37 +258,35 @@ class ProjPoint:
         return f"ProjPoint({tag}, {list(self.lift)})"
 
 
+def _term_sum(coeffs: dict, coords):
+    """sum(c * x^expo) over the {expo: c} dict at the coordinate vector.
+    Complex coordinates sum the real and imaginary parts with math.fsum;
+    anything else (ints, Fractions) sums exactly, starting from int 0 so
+    that integer values stay ints."""
+    terms = []
+    for expo, c in coeffs.items():
+        for x, a in zip(coords, expo):
+            if a:
+                c = c * x**a
+        terms.append(c)
+    if isinstance(coords[0], complex):
+        return complex(math.fsum([t.real for t in terms]), math.fsum([t.imag for t in terms]))
+    return sum(terms)
+
+
 def evaluate(form: HomoForm, point: ProjPoint):
     """Value of the form at a lift: exact Fraction, or complex with
     compensated summation in numeric mode."""
     if len(point.lift) != form.nvars:
         raise DimensionMismatch("point/form dimension mismatch")
-    if not point.numeric:
-        acc = Fraction(0)
-        for expo, c in form.coeffs.items():
-            t = c
-            for x, a in zip(point.lift, expo):
-                if a:
-                    t *= x**a
-            acc += t
-        return acc
-    res = []
-    ims = []
-    for expo, c in form.coeffs.items():
-        t = complex(c)
-        for x, a in zip(point.lift, expo):
-            if a:
-                t *= x**a
-        res.append(t.real)
-        ims.append(t.imag)
-    return complex(math.fsum(res), math.fsum(ims))
+    return _term_sum(form.coeffs, point.lift)
 
 
 class PolyMap:
     """N+1 homogeneous forms of common degree d >= 2: a lift of a
     self-map of projective N-space."""
 
-    __slots__ = ("forms", "nvars", "degree")
+    __slots__ = ("forms", "nvars", "degree", "_complex_coeffs")
 
     def __init__(self, forms: list[HomoForm]):
         forms = list(forms)
@@ -308,16 +308,27 @@ class PolyMap:
         self.forms = forms
         self.nvars = nvars
         self.degree = degree
+        self._complex_coeffs = None
 
     @property
     def N(self) -> int:
         return self.nvars - 1
 
+    def image(self, coords) -> tuple:
+        """The values of the coordinate forms at a coordinate vector (one
+        orbit step); complex vectors use coefficients converted once."""
+        if len(coords) != self.nvars:
+            raise DimensionMismatch("point/map dimension mismatch")
+        if isinstance(coords[0], complex):
+            if self._complex_coeffs is None:
+                self._complex_coeffs = [{e: complex(c) for e, c in f.coeffs.items()}
+                                        for f in self.forms]
+            return tuple(_term_sum(cc, coords) for cc in self._complex_coeffs)
+        return tuple(_term_sum(f.coeffs, coords) for f in self.forms)
+
     def __call__(self, point: ProjPoint) -> ProjPoint:
-        vals = [evaluate(f, point) for f in self.forms]
-        if not point.numeric and all(v == 0 for v in vals):
-            raise DomainError("map sends lift to zero (common projective zero)")
-        return ProjPoint(vals, numeric=point.numeric)
+        # ProjPoint rejects an all-zero image (a common projective zero)
+        return ProjPoint(self.image(point.lift), numeric=point.numeric)
 
     def scale(self, c) -> "PolyMap":
         return PolyMap([f.scale(c) for f in self.forms])

@@ -1,9 +1,16 @@
 import pytest
 from fractions import Fraction
 
+from hypothesis import settings
+
 from greenfield.dynsys import DynSystem
 from greenfield.experiments import EllipticCurve, LattesSystem
 from greenfield.homopoly import parse_map
+
+# Fixed example sequences, so that a run's results do not depend on the
+# run; per-test max_examples are untouched.
+settings.register_profile("greenfield", derandomize=True, deadline=None)
+settings.load_profile("greenfield")
 
 
 @pytest.fixture(scope="session")

@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 from fractions import Fraction
@@ -139,6 +140,10 @@ def test_provenance_evaluation_oracle(half_map):
         pt = ProjPoint.exact([Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
                               Fraction(rng.randint(1, 9), rng.randint(1, 9))])
         assert el.evaluate_at(half_map, pt, {}) == evaluate(el.expanded, pt)
+        # numeric unit-circle lifts take the complex orbit path
+        pt = ProjPoint.of_numeric([cmath.exp(1j * rng.uniform(0, 2 * math.pi)), 1.0])
+        want = evaluate(el.expanded, pt)
+        assert abs(el.evaluate_at(half_map, pt, {}) - want) <= 1e-12 * abs(want)
 
 
 def test_section_dim_hypersurface_small_n():

@@ -140,6 +140,12 @@ def test_exit_codes(capsys, tmp_path, power_cfg):
     assert run(["height", power_cfg, "--point", "0,0"]) == 1
     assert run(["escape", power_cfg, "--point", "1,1", "--place", "q=3"]) == 2
     assert run(["escape", power_cfg, "--point", "1/0,1"]) == 2
+    # a tol below what the float path certifies fails instead of passing silently
+    for cmd in ("escape", "height"):
+        capsys.readouterr()
+        assert run([cmd, power_cfg, "--point", "3/2,1", "--tol", "1e-300"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: error reached ") and err.count("\n") == 1
     assert run(["nonsense"]) == 2
     assert run(["resultant", str(tmp_path)]) == 2  # a directory
     latin1 = tmp_path / "latin1.json"

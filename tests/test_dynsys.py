@@ -124,8 +124,9 @@ def test_escape_map_scaling(half_map):
 
 
 def test_escape_rejects_bad_args(power_map):
-    with pytest.raises(DomainError):
-        escape_rate(power_map, ARCH, ProjPoint.exact([1, 1]), 0.0)
+    for tol in (0.0, float("nan")):
+        with pytest.raises(DomainError):
+            escape_rate(power_map, ARCH, ProjPoint.exact([1, 1]), tol)
     with pytest.raises(DomainError):
         escape_rate(power_map, Place.prime(2), ProjPoint.of_numeric([1.0, 1.0]), 1e-9)
 

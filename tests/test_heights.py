@@ -3,11 +3,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from greenfield.dynsys import escape_rate
+from greenfield.dynsys import DynSystem, escape_rate
 from greenfield.errors import DomainError
 from greenfield.heights import canonical_height, contributing_places, weil_height
-from greenfield.homopoly import ProjPoint
+from greenfield.homopoly import HomoForm, PolyMap, ProjPoint
 from greenfield.pffield import LogMag, Place, abs_log
 
 ARCH = Place.archimedean()
@@ -127,6 +129,44 @@ def test_functional_equation(power_map, chebyshev, half_map):
             h1 = canonical_height(system, pt, tol)
             h2 = canonical_height(system, system.map(pt), tol)
             assert abs(h2.value - d * h1.value) <= 2 * tol + d * h1.error + h2.error
+
+
+@st.composite
+def power_plus_c(draw):
+    """x0^d + c*x1^d with d in {2, 3} and c = a/b, b <= 12: bad at the
+    primes of b (2, 3, 5, 7, 11), so the integer escape kernel runs."""
+    d = draw(st.sampled_from([2, 3]))
+    c = Fraction(draw(st.integers(-12, 12).filter(bool)), draw(st.integers(1, 12)))
+    return DynSystem(PolyMap([HomoForm(2, d, {(d, 0): 1, (0, d): c}),
+                              HomoForm.monomial(2, (0, d))]))
+
+
+rationals = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+lifts = st.tuples(rationals, rationals).filter(any).map(ProjPoint.exact)
+
+
+@settings(max_examples=40, deadline=None)
+@given(power_plus_c(), lifts)
+def test_functional_equation_property(system, pt):
+    # hhat(F(P)) = d * hhat(P), within the reported errors
+    d = system.degree
+    h1 = canonical_height(system, pt)
+    h2 = canonical_height(system, system.map(pt))
+    assert abs(h2.value - d * h1.value) <= h2.error + d * h1.error
+
+
+@settings(max_examples=40, deadline=None)
+@given(power_plus_c(), lifts, rationals.filter(bool))
+def test_lift_invariance_property(system, pt, lam):
+    h1 = canonical_height(system, pt)
+    h2 = canonical_height(system, pt.scaled(lam))
+    assert abs(h2.value - h1.value) <= h1.error + h2.error
+
+
+def test_canonical_height_rejects_bad_tol(half_map):
+    for tol in (0.0, -1e-9, float("nan")):
+        with pytest.raises(DomainError):
+            canonical_height(half_map, ProjPoint.exact([3, 1]), tol)
 
 
 def test_nonnegativity(power_map, chebyshev, half_map):

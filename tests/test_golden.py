@@ -18,12 +18,15 @@ from greenfield.cli import run
 GOLDEN = Path(__file__).resolve().parent / "golden"
 HALF = str(GOLDEN / "half.json")
 DEGENERATE = str(GOLDEN / "degenerate_p2.json")
+# all 20 cubic monomials in every form: a 220 x 220 Macaulay matrix
+DENSE = str(GOLDEN / "dense_d3n3.json")
 CURVE = ["--curve", "0,-2", "--point", "3,5"]
 
 # name -> (argv, expected exit code); "{csv}" is replaced by a CSV path
 CASES = {
     "resultant_half": (["resultant", HALF], 0),
     "resultant_degenerate_p2": (["resultant", DEGENERATE], 0),
+    "resultant_dense_d3n3": (["resultant", DENSE], 0),
     "height": (["height", HALF, "--point", "3/2,1"], 0),
     "escape_inf": (["escape", HALF, "--point", "3/2,1", "--place", "inf"], 0),
     "escape_p2_bad": (["escape", HALF, "--point", "3/2,1", "--place", "p=2"], 0),

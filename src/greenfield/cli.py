@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import errors
 from .basis import monomial_basis, section_dim, special_basis
-from .dynsys import DynSystem, escape_rate, julia_membership
+from .dynsys import DynSystem, escape_rate, membership_of
 from .experiments import (EllipticCurve, LattesSystem, adelic_report,
                           lehmer_scan, multiples_search)
 from .green import (dbn_witness, fekete_search, green_value, hadamard_envelope,
@@ -220,14 +220,13 @@ def _cmd_escape(args):
     place = Place.parse(args.place)
     rate = escape_rate(system, place, point, tol)
     _check_reached(rate.arch_err, tol)
-    member = julia_membership(system, place, point, tol)
     _emit(
         {
             "kind": "escape",
             "place": repr(place),
             "point": [str(x) for x in point.lift],
             **_local_json(rate),
-            "membership": member.value,
+            "membership": membership_of(rate, tol).value,
         },
         args.out,
     )

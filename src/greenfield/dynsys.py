@@ -25,7 +25,8 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, InternalCheckError, NotAMorphism, PreconditionError
+from .errors import (DimensionMismatch, DomainError, InternalCheckError, NotAMorphism,
+                     PreconditionError)
 from .homopoly import (HomoForm, PolyMap, ProjPoint, _term_sum, coeff_sup_log, evaluate,
                        iterate)
 from .macaulay import elimination_certificates, macaulay_degree, macaulay_resultant
@@ -345,6 +346,9 @@ def escape_rate(system: DynSystem, place: Place, lift: ProjPoint, tol: float) ->
     """
     if not tol > 0:
         raise DomainError("tol must be positive")
+    if len(lift) != system.map.nvars:
+        raise DimensionMismatch(f"lift has {len(lift)} coordinates, the map has "
+                                f"{system.map.nvars} variables")
     if place.is_archimedean:
         return _escape_arch(system, lift, tol)
     if lift.numeric:
@@ -358,7 +362,12 @@ def julia_membership(system: DynSystem, place: Place, lift: ProjPoint, tol: floa
     """Filled-Julia membership via the sign of the escape rate; boundary
     band reported as UNDETERMINED.  Exact at good nonarchimedean places:
     the filled Julia set there is the polydisk H <= 0."""
-    rate = escape_rate(system, place, lift, tol)
+    return membership_of(escape_rate(system, place, lift, tol), tol)
+
+
+def membership_of(rate: LogMag, tol: float) -> Membership:
+    """Classify an escape rate by its sign, with a band of width tol
+    around 0 left UNDETERMINED unless the rate is an exact ledger."""
     band = 0.0 if rate.is_exact else tol  # an exact ledger has a sharp sign
     h = rate.total()
     if h > band:

@@ -1,6 +1,7 @@
-"""Exact linear algebra over Q with two kernels: fraction-free Bareiss
-determinants and one Gauss-Jordan elimination, the incremental reduced
-row echelon form of `IncrementalRank`, which the echelon solve reads.
+"""Exact linear algebra over Q with two kernels: a sparse fraction-free
+Bareiss determinant and one Gauss-Jordan elimination, the incremental
+reduced row echelon form of `IncrementalRank`, which the echelon solve
+reads.
 
 Everything here is deterministic; no modular or floating-point
 shortcuts.  Matrices are lists of lists (row-major).
@@ -13,61 +14,112 @@ from .errors import DimensionMismatch, InternalCheckError
 
 
 def bareiss_det(rows: list[list[int]]) -> int:
-    """Determinant of a square integer matrix by fraction-free Bareiss
-    elimination with row pivoting.  All intermediate divisions are exact."""
+    """Determinant of a square integer matrix by sparse fraction-free
+    Bareiss elimination.  All divisions are exact.
+
+    Rows are kept as {column: entry} dicts.  Step k pivots on the active
+    entry of least Markowitz cost (row nonzeros - 1)(column nonzeros - 1)
+    and updates only the rows with a nonzero in the pivot column.  A row
+    skipped by steps a+1..k-1 would only have been multiplied by the
+    factors P_t / P_{t-1} of the pivots P_t, which telescope to
+    P_{k-1} / P_a, so each row keeps the step a it was last updated at
+    and is scaled lazily: the pivot row is brought to step k-1 by
+    multiplying by P_{k-1} and dividing by P_a, and in an updated row the
+    same factor cancels the Bareiss division by P_{k-1}, leaving a
+    division by P_a.  The determinant is the last pivot, signed by the
+    parities of the orders in which rows and columns became pivots.
+    """
     n = len(rows)
-    if n == 0:
-        return 1
-    m = [list(r) for r in rows]
-    for r in m:
-        if len(r) != n:
-            raise DimensionMismatch("determinant of a non-square matrix")
+    if any(len(r) != n for r in rows):
+        raise DimensionMismatch("determinant of a non-square matrix")
+    mat = [{j: x for j, x in enumerate(r) if x} for r in rows]
+    cols = [set() for _ in range(n)]  # column -> active rows with a nonzero there
+    for i, row in enumerate(mat):
+        for j in row:
+            cols[j].add(i)
+    stamp = [0] * n  # row -> step it was last updated at
+    pivots = [1]  # pivots[k] = P_k, with P_0 = 1
+    live_rows, live_cols = list(range(n)), list(range(n))  # ascending
     sign = 1
-    prev = 1
-    for k in range(n - 1):
-        piv = None
-        for i in range(k, n):
-            if m[i][k]:
-                piv = i
-                break
-        if piv is None:
+    for k in range(1, n + 1):
+        pick = _markowitz_pivot(mat, cols, live_rows, live_cols)
+        if pick is None:
             return 0
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
+        i, j = pick
+        # moving row i and column j ahead of the active ones before them
+        # takes a + b transpositions
+        a, b = live_rows.index(i), live_cols.index(j)
+        del live_rows[a], live_cols[b]
+        if (a + b) % 2:
             sign = -sign
-        pkk = m[k][k]
-        for i in range(k + 1, n):
-            mik = m[i][k]
-            row_i = m[i]
-            row_k = m[k]
-            if mik:
-                for j in range(k + 1, n):
-                    row_i[j] = (row_i[j] * pkk - mik * row_k[j]) // prev
-                row_i[k] = 0
-            elif prev != pkk:
-                for j in range(k + 1, n):
-                    row_i[j] = (row_i[j] * pkk) // prev
-        prev = pkk
-    return sign * m[n - 1][n - 1]
+        prow = mat[i]
+        last = pivots[stamp[i]]
+        if last != pivots[k - 1]:
+            scale = pivots[k - 1]
+            prow = {c: x * scale // last for c, x in prow.items()}
+        p = prow.pop(j)
+        for c in prow:
+            cols[c].discard(i)
+        cols[j].discard(i)
+        for r in cols[j]:
+            row = mat[r]
+            last = pivots[stamp[r]]
+            m = row.pop(j)
+            new = {}
+            for c, x in row.items():
+                y = prow.get(c)
+                v = (p * x - m * y) // last if y is not None else p * x // last
+                if v:
+                    new[c] = v
+                else:
+                    cols[c].discard(r)
+            for c, y in prow.items():
+                if c not in row:
+                    new[c] = -m * y // last
+                    cols[c].add(r)
+            mat[r] = new
+            stamp[r] = k
+        pivots.append(p)
+    return sign * pivots[n]
+
+
+def _markowitz_pivot(mat, cols, live_rows, live_cols):
+    """The active entry (row, column) of least (row nonzeros - 1) *
+    (column nonzeros - 1), or None when an active row or column is empty
+    (a singular matrix).  Rows are searched shortest first, and the
+    search stops once no later row can beat the best cost found."""
+    counts = {j: len(cols[j]) for j in live_cols}
+    cmin = min(counts.values())
+    if cmin == 0:
+        return None
+    if cmin == 1:
+        j = next(j for j, c in counts.items() if c == 1)
+        return next(iter(cols[j])), j
+    best, best_cost = None, None
+    for i in sorted(live_rows, key=lambda i: len(mat[i])):
+        r = len(mat[i]) - 1
+        if r < 0:
+            return None
+        if best is not None and r * (cmin - 1) >= best_cost:
+            break
+        for j in mat[i]:
+            cost = r * (counts[j] - 1)
+            if best is None or cost < best_cost:
+                best, best_cost = (i, j), cost
+    return best
 
 
 def det_fraction(rows: list[list]) -> Fraction:
-    """Exact determinant of a square rational matrix (row-scaled Bareiss)."""
-    n = len(rows)
-    if n == 0:
-        return Fraction(1)
-    scale = Fraction(1)
+    """Exact determinant of a square rational matrix: each row is scaled
+    to integers by the lcm of its denominators before `bareiss_det`."""
+    scale = 1
     int_rows = []
     for r in rows:
-        if len(r) != n:
-            raise DimensionMismatch("determinant of a non-square matrix")
-        fr = [Fraction(x) for x in r]
-        l = 1
-        for x in fr:
-            l = math.lcm(l, x.denominator)
-        scale /= l
-        int_rows.append([int(x * l) for x in fr])
-    return scale * bareiss_det(int_rows)
+        fr = [Fraction(x) if x else 0 for x in r]  # most entries of a Macaulay row are 0
+        l = math.lcm(*(x.denominator for x in fr))
+        scale *= l
+        int_rows.append([x.numerator * (l // x.denominator) for x in fr])
+    return Fraction(bareiss_det(int_rows), scale)
 
 
 def solve_preferring_early_columns(rows, rhs):

@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from greenfield import cli, dynsys
 from greenfield.cli import SystemConfig, run
+from greenfield.dynsys import escape_rate
 from greenfield.experiments import EllipticCurve, LattesSystem, multiples_search
 
 
@@ -57,6 +59,20 @@ def test_escape_command(capsys, power_cfg):
     assert payload["exact"] is True
     assert payload["membership"] == "outside"
     assert payload["value"] == pytest.approx(math.log(2), abs=1e-12)
+
+
+def test_escape_command_computes_the_rate_once(capsys, monkeypatch, half_cfg):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return escape_rate(*args)
+    monkeypatch.setattr(dynsys, "escape_rate", counted)
+    monkeypatch.setattr(cli, "escape_rate", counted)
+    code, out = run_json(capsys, ["escape", half_cfg, "--point", "3/2,1",
+                                  "--place", "p=2"])
+    assert code == 0 and json.loads(out)["membership"] == "outside"
+    assert len(calls) == 1
 
 
 def test_basis_command_roundtrips(capsys, power_cfg):
@@ -129,7 +145,7 @@ def test_selftest(capsys):
     assert "selftest: OK" in out
 
 
-def test_exit_codes(capsys, tmp_path, power_cfg):
+def test_exit_codes(capsys, tmp_path, power_cfg, half_cfg):
     assert run(["resultant", str(tmp_path / "missing.json")]) == 2
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -140,6 +156,7 @@ def test_exit_codes(capsys, tmp_path, power_cfg):
     assert run(["height", power_cfg, "--point", "0,0"]) == 1
     assert run(["escape", power_cfg, "--point", "1,1", "--place", "q=3"]) == 2
     assert run(["escape", power_cfg, "--point", "1/0,1"]) == 2
+    assert run(["escape", half_cfg, "--point", "3,1,5", "--place", "p=2"]) == 1
     # a tol below what the float path certifies fails instead of passing silently
     for cmd in ("escape", "height"):
         capsys.readouterr()

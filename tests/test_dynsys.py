@@ -7,7 +7,8 @@ import pytest
 from greenfield.dynsys import (DynSystem, Membership, check_invariance,
                                check_invariance_forms, divmod_form,
                                escape_rate, julia_membership, reduction_type)
-from greenfield.errors import DomainError, NotAMorphism, PreconditionError
+from greenfield.errors import (DimensionMismatch, DomainError, NotAMorphism,
+                               PreconditionError)
 from greenfield.homopoly import ProjPoint, parse_form, parse_map
 from greenfield.pffield import Place
 
@@ -123,12 +124,16 @@ def test_escape_map_scaling(half_map):
         assert abs(r2.total() - r1.total() - shift / (half_map.degree - 1)) <= 2 * tol
 
 
-def test_escape_rejects_bad_args(power_map):
+def test_escape_rejects_bad_args(power_map, half_map):
     for tol in (0.0, float("nan")):
         with pytest.raises(DomainError):
             escape_rate(power_map, ARCH, ProjPoint.exact([1, 1]), tol)
     with pytest.raises(DomainError):
         escape_rate(power_map, Place.prime(2), ProjPoint.of_numeric([1.0, 1.0]), 1e-9)
+    # a lift of the wrong length, at a bad prime, a good prime and infinity
+    for place in (Place.prime(2), Place.prime(3), ARCH):
+        with pytest.raises(DimensionMismatch):
+            escape_rate(half_map, place, ProjPoint.exact([3, 1, 5]), 1e-9)
 
 
 def test_membership_examples(power_map):

@@ -118,3 +118,53 @@ def test_solver_matches_sympy_rank_oracle(system):
     for z, b in zip(sols, bs):
         assert [sum(a[i][j] * z[j] for j in range(n)) for i in range(len(a))] == b
         assert all(z[j] == 0 for j in range(n) if j not in early)
+
+
+def _sympy_det(rows):
+    n = len(rows)
+    return sympy.Matrix(n, n, [x for r in rows for x in r]).det()
+
+
+@st.composite
+def sparse_int_matrices(draw):
+    """Square integer matrices of side 0-10 whose entries, up to 2^64 in
+    size, are nonzero with a drawn density; some are made singular by a
+    repeated row or a zero column."""
+    n = draw(st.integers(0, 10))
+    density = draw(st.integers(0, 100))
+    entry = st.integers(-2**64, 2**64)
+    rows = [[draw(entry) if draw(st.integers(1, 100)) <= density else 0
+             for _ in range(n)] for _ in range(n)]
+    singular = draw(st.sampled_from(["no", "repeated row", "zero column"])) if n >= 2 else "no"
+    if singular == "repeated row":
+        a, b = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        rows[b] = list(rows[a])
+    elif singular == "zero column":
+        j = draw(st.integers(0, n - 1))
+        for r in rows:
+            r[j] = 0
+    return rows, singular != "no"
+
+
+@settings(max_examples=200)
+@given(sparse_int_matrices())
+def test_bareiss_matches_sympy_on_sparse_matrices(case):
+    rows, singular = case
+    det = bareiss_det(rows)
+    assert det == _sympy_det(rows)
+    if singular:
+        assert det == 0
+
+
+@settings(max_examples=100)
+@given(st.integers(0, 7).flatmap(lambda n: st.lists(
+    st.lists(st.one_of(st.just(Fraction(0)),
+                       st.fractions(min_value=-10**6, max_value=10**6,
+                                    max_denominator=10**4)),
+             min_size=n, max_size=n),
+    min_size=n, max_size=n)))
+def test_det_fraction_matches_sympy(rows):
+    expect = _sympy_det([[sympy.Rational(x.numerator, x.denominator) for x in r]
+                         for r in rows])
+    got = det_fraction(rows)
+    assert sympy.Rational(got.numerator, got.denominator) == expect

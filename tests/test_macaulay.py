@@ -4,6 +4,8 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy import Poly, Rational, resultant, symbols
 
 from greenfield.errors import DomainError, NotAMorphism
@@ -90,6 +92,27 @@ def test_scaling_law_exact():
         n_minus_1 = nvars - 1
         expect = lam ** (nvars * d**n_minus_1) * res
         assert macaulay_resultant(pm.scale(lam)) == expect
+
+
+@st.composite
+def dense_maps_and_scalars(draw):
+    """A map with every degree-d monomial in every form, and lam = a/b."""
+    d, N = draw(st.sampled_from([(2, 1), (3, 1), (2, 2), (2, 3)]))
+    nonzero = st.fractions(min_value=-9, max_value=9, max_denominator=4).filter(bool)
+    monos = monomials_of_degree(N + 1, d)
+    pm = PolyMap([HomoForm(N + 1, d, {m: draw(nonzero) for m in monos})
+                  for _ in range(N + 1)])
+    lam = draw(st.fractions(min_value=-20, max_value=20, max_denominator=20).filter(bool))
+    return pm, lam
+
+
+@settings(max_examples=100)
+@given(dense_maps_and_scalars())
+def test_scaling_law_on_dense_maps(case):
+    # Res(lam F) = lam^((N+1) d^N) Res(F)
+    pm, lam = case
+    w = pm.nvars * pm.degree ** pm.N
+    assert macaulay_resultant(pm.scale(lam)) == lam**w * macaulay_resultant(pm)
 
 
 def test_zero_iff_common_projective_zero():

@@ -150,12 +150,10 @@ def _degree_to_kj(system: DynSystem, m: int) -> tuple[int, int]:
 
 @dataclass
 class BasisFamily:
-    """An ordered basis of degree-n forms with provenance and the pivot
-    record of the greedy extraction."""
+    """An ordered basis of degree-n forms with provenance."""
 
     n: int
     elements: list[GenElement]
-    pivots: list[int]
     cn: int
     relaxed_j: bool = False
 
@@ -316,7 +314,6 @@ def special_basis(system: DynSystem, n: int) -> BasisFamily:
         raise InternalCheckError("hypersurface ideal rank mismatch")
     cap = CANDIDATE_CAP_FACTOR * math.comb(n + system.N, system.N)
     kept: list[GenElement] = []
-    pivots: list[int] = []
     relaxed = False
     seen = 0
     for el, primary in spanning_family(system, n):
@@ -325,15 +322,13 @@ def special_basis(system: DynSystem, n: int) -> BasisFamily:
                 f"basis enumeration cap {cap} hit at rank {len(kept)} of {target}"
             )
         seen += 1
-        piv = tracker.add(_coeff_vector(el.expanded, index))
-        if piv is None:
+        if not tracker.add(_coeff_vector(el.expanded, index)):
             continue
         kept.append(el)
-        pivots.append(piv)
         if not primary:
             relaxed = True
         if len(kept) == target:
-            return BasisFamily(n, kept, pivots, target, relaxed)
+            return BasisFamily(n, kept, target, relaxed)
     if system.hypersurface is None:
         raise InternalCheckError(
             f"spanning family exhausted at rank {len(kept)} of {target} for X = P^N"
@@ -348,7 +343,7 @@ def monomial_basis(N: int, n: int) -> BasisFamily:
     if n < 1:
         raise DomainError("need n >= 1")
     els = _monomial_elements(N + 1, n)
-    return BasisFamily(n, els, list(range(len(els))), len(els))
+    return BasisFamily(n, els, len(els))
 
 
 def spanning_rank(system: DynSystem, n: int) -> int:

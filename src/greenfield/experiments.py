@@ -18,7 +18,7 @@ from sympy import Poly, Symbol, factor_list
 
 from .basis import BasisFamily, special_basis
 from .dynsys import DynSystem, escape_rate
-from .errors import DomainError, InternalCheckError, PreconditionError
+from .errors import DomainError, InternalCheckError, PreconditionError, ResourceLimit
 from .green import dbn_witness, fekete_search, hadamard_envelope, julia_radius_log
 from .heights import HeightValue, canonical_height, contributing_places
 from .homopoly import HomoForm, PolyMap, ProjPoint
@@ -119,13 +119,25 @@ class LattesSystem:
     def orbit(self, bound: int) -> list[ProjPoint]:
         """x(kP) for k = 1..bound; rejects torsion points."""
         pts = [self.x_of_multiple(k) for k in range(1, bound + 1)]
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                if pts[i].proportional_to(pts[j]):
-                    raise PreconditionError(
-                        f"orbit points {i + 1} and {j + 1} coincide: torsion base point"
-                    )
+        pair = _first_repeat(pts)
+        if pair is not None:
+            raise PreconditionError(
+                f"orbit points {pair[0] + 1} and {pair[1] + 1} coincide: torsion base point"
+            )
         return pts
+
+
+def _first_repeat(points) -> tuple[int, int] | None:
+    """The first pair (i, j), i < j, of projectively equal exact points
+    in pairwise-scan order (least i, then least j), or None.  Linear
+    time: points are grouped by `ProjPoint.key`."""
+    first = {}
+    pair = None
+    for j, pt in enumerate(points):
+        i = first.setdefault(pt.key(), j)
+        if i != j and (pair is None or i < pair[0]):
+            pair = (i, j)
+    return pair
 
 
 # ---------------------------------------------------------------------------
@@ -181,12 +193,12 @@ def sample_julia_tuple(system: DynSystem, basis: BasisFamily, place: Place,
             break
         tried += 1
         lift = scale_into_julia(system, place, cand, tol)
-        if tracker.add(basis.row(system, lift)) is None:
+        if not tracker.add(basis.row(system, lift)):
             continue
         chosen.append(lift)
         if len(chosen) == c:
             return chosen
-    raise InternalCheckError(f"no admissible nonsingular tuple within {MAX_GRID_TRIES} grid points")
+    raise ResourceLimit(f"no admissible nonsingular tuple within {MAX_GRID_TRIES} grid points")
 
 
 def roots_of_unity_tuple(count_pts: int) -> list[ProjPoint]:
@@ -252,7 +264,7 @@ def _witness_or_note(compute):
     """(witness as a float, None), or (None, the reason there is none)."""
     try:
         w = compute()
-    except (PreconditionError, InternalCheckError) as exc:
+    except (PreconditionError, ResourceLimit) as exc:
         return None, str(exc)
     if w is MINUS_INFINITY:
         return None, "the tuple's evaluation determinant vanishes"
@@ -350,18 +362,17 @@ def multiples_search(system: DynSystem, orbit: list[ProjPoint], n: int,
     if basis is None:
         basis = special_basis(system, n)
     c = basis.cn
-    for i in range(len(orbit)):
-        for j in range(i + 1, len(orbit)):
-            if orbit[i].proportional_to(orbit[j]):
-                raise PreconditionError(
-                    f"orbit entries {i + 1} and {j + 1} are projectively equal"
-                )
+    pair = _first_repeat(orbit)
+    if pair is not None:
+        raise PreconditionError(
+            f"orbit entries {pair[0] + 1} and {pair[1] + 1} are projectively equal"
+        )
     tracker = IncrementalRank(c)
     rows = []
     indices = []
     for k, lift in enumerate(orbit, start=1):
         row = basis.row(system, lift)
-        if tracker.add(row) is None:
+        if not tracker.add(row):
             continue
         rows.append(row)
         indices.append(k)

@@ -239,19 +239,14 @@ class ProjPoint:
         c = complex(c) if self.numeric else Fraction(c)
         return ProjPoint([c * x for x in self.lift], self.numeric)
 
-    def proportional_to(self, other: "ProjPoint") -> bool:
-        """Projective equality test (exact lifts only)."""
-        if self.numeric or other.numeric:
+    def key(self) -> tuple:
+        """Exact normal form of the projective point: the lift divided by
+        its first nonzero coordinate, so two exact lifts of one point
+        have equal keys."""
+        if self.numeric:
             raise DomainError("projective equality is an exact-mode test")
-        if len(self.lift) != len(other.lift):
-            raise DimensionMismatch("lift length mismatch")
-        for i, x in enumerate(self.lift):
-            if x != 0:
-                if other.lift[i] == 0:
-                    return False
-                r = other.lift[i] / x
-                return all(r * a == b for a, b in zip(self.lift, other.lift))
-        return False
+        lead = next(x for x in self.lift if x)
+        return tuple(x / lead for x in self.lift)
 
     def __repr__(self):
         tag = "numeric" if self.numeric else "exact"

@@ -103,7 +103,7 @@ def test_special_basis_on_plane_cubic():
     for row in _ideal_rows(system, 3):
         tracker.add(_coeff_vector(row, index))
     for el in fam.elements:
-        assert tracker.add(_coeff_vector(el.expanded, index)) is not None
+        assert tracker.add(_coeff_vector(el.expanded, index)) is True
 
 
 def test_monomial_basis_examples():
@@ -130,7 +130,6 @@ def test_special_basis_reproducible(chebyshev):
     assert [el.describe() for el in a.elements] == [el.describe() for el in b.elements]
     assert [form_str(el.expanded) for el in a.elements] == \
            [form_str(el.expanded) for el in b.elements]
-    assert a.pivots == b.pivots
 
 
 def test_provenance_evaluation_oracle(half_map):

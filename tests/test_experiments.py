@@ -6,7 +6,8 @@ import pytest
 
 from greenfield.basis import monomial_basis, section_dim
 from greenfield.dynsys import DynSystem
-from greenfield.errors import DomainError, PreconditionError
+from greenfield import cli, experiments
+from greenfield.errors import DomainError, InternalCheckError, PreconditionError
 from greenfield.experiments import (EllipticCurve, LattesSystem, adelic_report,
                                     duplication_map, lehmer_scan,
                                     multiples_search, roots_of_unity_tuple,
@@ -18,6 +19,13 @@ from greenfield.linalg import det_fraction
 from greenfield.pffield import MINUS_INFINITY, Place, support
 
 ARCH = Place.archimedean()
+
+
+@pytest.fixture()
+def half_cfg_path(tmp_path):
+    path = tmp_path / "half.json"
+    path.write_text('{"N": 1, "d": 2, "forms": ["x0^2 + 1/2*x1^2", "x1^2"]}')
+    return str(path)
 
 
 def test_curve_validation_and_group_law():
@@ -84,6 +92,9 @@ def test_orbit_rejects_torsion():
     L = LattesSystem(EllipticCurve(Fraction(0), Fraction(1)), (Fraction(2), Fraction(3)))
     with pytest.raises(PreconditionError):
         L.orbit(6)
+    # (2, 3) has order 6: x(P) = x(5P) and x(2P) = x(4P)
+    with pytest.raises(PreconditionError, match="orbit points 1 and 5 coincide"):
+        L.orbit(5)
 
 
 def test_multiples_search_examples(mordell_lattes):
@@ -110,6 +121,28 @@ def test_multiples_search_rejects_duplicates(mordell_lattes):
     orbit = mordell_lattes.orbit(3)
     with pytest.raises(PreconditionError, match="projectively equal"):
         multiples_search(mordell_lattes.system, orbit + [orbit[0]], 2)
+    # the pairwise scan met (1, 5) before (2, 4); the last entry is
+    # another lift of the first point
+    a, b, c = orbit
+    with pytest.raises(PreconditionError, match="orbit entries 1 and 5 are projectively equal"):
+        multiples_search(mordell_lattes.system, [a, b, c, b, a.scaled(-2)], 2)
+
+
+def test_multiples_search_decides_every_add_modulo_q(mordell_lattes, monkeypatch):
+    trackers = []
+
+    class Recording(experiments.IncrementalRank):
+        def __init__(self, dim):
+            super().__init__(dim)
+            trackers.append(self)
+
+    monkeypatch.setattr(experiments, "IncrementalRank", Recording)
+    n = 12
+    cn = section_dim(mordell_lattes.system, n)
+    orbit = mordell_lattes.orbit(2 * n + cn)
+    res = multiples_search(mordell_lattes.system, orbit, n)
+    assert len(res.indices) == cn
+    assert [t.exact_adds for t in trackers] == [0]
 
 
 def test_multiples_search_reports_rank_failure(mordell_lattes):
@@ -173,6 +206,25 @@ def test_adelic_report_half_map(half_map):
         for place, env in entry.envelopes.items():
             wit = entry.witnesses[place]
             assert wit is None or wit <= env + 1e-9
+
+
+def test_grid_exhaustion_is_a_witness_note(half_map, monkeypatch):
+    monkeypatch.setattr(experiments, "MAX_GRID_TRIES", 1)
+    entry = adelic_report(half_map, [4], budget=300, seed=3).entries[0]
+    assert entry.witnesses["p=2"] is None
+    assert "within 1 grid points" in entry.witness_notes["p=2"]
+
+
+def test_internal_check_error_escapes_the_witness_notes(half_map, half_cfg_path,
+                                                        monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise InternalCheckError("broken certificate")
+
+    monkeypatch.setattr(experiments, "dbn_witness", broken)
+    with pytest.raises(InternalCheckError, match="broken certificate"):
+        adelic_report(half_map, [4], budget=300, seed=3)
+    assert cli.run(["adelic-report", half_cfg_path, "--n", "4", "--budget", "300"]) == 1
+    assert "broken certificate" in capsys.readouterr().err
 
 
 def test_adelic_product_formula_for_exact_tuples(power_map):

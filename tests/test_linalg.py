@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from greenfield.errors import DimensionMismatch
-from greenfield.linalg import (IncrementalRank, bareiss_det, det_fraction,
+from greenfield.linalg import (MODULUS, IncrementalRank, bareiss_det, det_fraction,
                                solve_preferring_early_columns)
 
 
@@ -67,13 +67,36 @@ def test_solver_consistency_and_multi_rhs():
 
 def test_incremental_rank():
     tr = IncrementalRank(3)
-    assert tr.add([1, 2, 3]) is not None
-    assert tr.add([2, 4, 6]) is None
-    assert tr.add([0, 1, 1]) is not None
-    assert tr.add([1, 3, 4]) is None  # row1 + row3
-    assert tr.add([0, 0, 5]) is not None
+    assert tr.add([1, 2, 3]) is True
+    assert tr.add([2, 4, 6]) is False
+    assert tr.add([0, 1, 1]) is True
+    assert tr.add([1, 3, 4]) is False  # row1 + row3
+    assert tr.add([0, 0, 5]) is True
     assert tr.rank == 3
-    assert tr.add([7, 8, 9]) is None
+    assert tr.add([7, 8, 9]) is False
+
+
+def test_incremental_rank_fallbacks_modulo_q():
+    # [1, q] is dependent on [1, 0] mod q but not over Q: the exact form
+    # accepts it, and the screen is off from then on
+    tr = IncrementalRank(2)
+    assert tr.add([1, 0]) is True
+    assert tr.exact_adds == 0
+    assert tr.add([1, MODULUS]) is True
+    assert tr.exact_adds == 1
+    assert tr.add([0, 1]) is False
+    assert tr.exact_adds == 2
+    assert tr.rank == 2
+    assert tr.rows == {0: [1, 0], 1: [0, 1]}
+    # a denominator divisible by q and a zero residue are decided
+    # exactly; a rejection leaves the screen on
+    tr = IncrementalRank(2)
+    assert tr.add([1, 2]) is True
+    assert tr.add([Fraction(1, MODULUS), Fraction(2, MODULUS)]) is False
+    assert tr.add([MODULUS, 2 * MODULUS]) is False
+    assert tr.exact_adds == 2
+    assert tr.add([0, 1]) is True
+    assert tr.exact_adds == 2
 
 
 @st.composite
@@ -168,3 +191,50 @@ def test_det_fraction_matches_sympy(rows):
                          for r in rows])
     got = det_fraction(rows)
     assert sympy.Rational(got.numerator, got.denominator) == expect
+
+
+@st.composite
+def vector_sequences(draw):
+    """Up to 8 rational vectors of length 1-5.  Entries are a + k q over
+    denominators 1, 2, 3, q or 2q, so some are 0 mod q and some have no
+    residue; about half the vectors are integer combinations of earlier
+    ones, some shifted by a multiple of q in one entry (dependent mod q,
+    independent over Q)."""
+    dim = draw(st.integers(1, 5))
+    entry = st.builds(lambda a, k, den: Fraction(a + k * MODULUS, den),
+                      st.integers(-3, 3), st.integers(-1, 1),
+                      st.sampled_from([1, 1, 1, 2, 3, MODULUS, 2 * MODULUS]))
+    vecs = []
+    for _ in range(draw(st.integers(1, 8))):
+        if vecs and draw(st.booleans()):
+            coeffs = [draw(st.integers(-2, 2)) for _ in vecs]
+            v = [sum((c * w[j] for c, w in zip(coeffs, vecs)), Fraction(0))
+                 for j in range(dim)]
+            v[draw(st.integers(0, dim - 1))] += draw(st.integers(-1, 1)) * MODULUS
+        else:
+            v = [draw(entry) for _ in range(dim)]
+        vecs.append(v)
+    return dim, vecs
+
+
+def _sympy_matrix(vecs):
+    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in v]
+                         for v in vecs])
+
+
+@settings(max_examples=200)
+@given(vector_sequences())
+def test_incremental_rank_matches_sympy_on_prefixes(case):
+    dim, vecs = case
+    tr = IncrementalRank(dim)
+    rank = 0
+    for k, v in enumerate(vecs):
+        new_rank = _sympy_matrix(vecs[:k + 1]).rank()
+        assert tr.add(v) is (new_rank > rank)
+        rank = new_rank
+        assert tr.rank == rank
+    rref, pivots = _sympy_matrix(vecs).rref()
+    assert set(tr.rows) == set(pivots)
+    for i, piv in enumerate(pivots):
+        assert [sympy.Rational(x.numerator, x.denominator) for x in tr.rows[piv]] == \
+            list(rref.row(i))

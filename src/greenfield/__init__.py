@@ -9,7 +9,7 @@ heights, and the experiment drivers built on top of them.
 from .basis import (BasisFamily, GenElement, floor_G, gen_degrees,
                     monomial_basis, section_dim, spanning_family, special_basis)
 from .dynsys import (DynSystem, Membership, check_invariance, escape_rate,
-                     julia_membership, reduction_type)
+                     julia_membership)
 from .errors import (DimensionMismatch, DomainError, GreenfieldError,
                      InputError, InternalCheckError, NotAMorphism,
                      PreconditionError, ResourceLimit)
@@ -22,7 +22,7 @@ from .heights import (HeightValue, canonical_height, contributing_places,
                       weil_height)
 from .homopoly import (HomoForm, PolyMap, ProjPoint, coeff_sup_log, compose,
                        evaluate, form_str, iterate, parse_form, parse_map)
-from .macaulay import (MacaulayMatrix, elimination_certificate,
+from .macaulay import (MacaulayMatrix, elimination_certificates,
                        macaulay_resultant, r_normalized)
 from .pffield import (LogMag, MINUS_INFINITY, PLUS_INFINITY, Place, abs_log,
                       product_formula_sum, support)

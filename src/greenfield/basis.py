@@ -345,19 +345,3 @@ def monomial_basis(N: int, n: int) -> BasisFamily:
     els = _monomial_elements(N + 1, n)
     return BasisFamily(n, els, len(els))
 
-
-def spanning_rank(system: DynSystem, n: int) -> int:
-    """Rank attained by the spanning family in the full degree-n space
-    (no hypersurface reduction)."""
-    nvars = system.map.nvars
-    monos = monomials_of_degree(nvars, n)
-    index = {m: i for i, m in enumerate(monos)}
-    tracker = IncrementalRank(len(monos))
-    cap = CANDIDATE_CAP_FACTOR * math.comb(n + system.N, system.N)
-    seen = 0
-    for el, _ in spanning_family(system, n):
-        if seen >= cap or tracker.rank == len(monos):
-            break
-        seen += 1
-        tracker.add(_coeff_vector(el.expanded, index))
-    return tracker.rank

@@ -23,9 +23,7 @@ from .green import (dbn_witness, fekete_search, green_value, hadamard_envelope,
                     julia_radius_log)
 from .heights import canonical_height, weil_height
 from .homopoly import ProjPoint, form_str, parse_form, parse_map
-from .macaulay import macaulay_resultant
-from .pffield import (MINUS_INFINITY, PLUS_INFINITY, Place, parse_rational,
-                      product_formula_sum)
+from .pffield import MINUS_INFINITY, PLUS_INFINITY, Place, parse_rational
 
 
 def _check_tol(tol: float, where: str) -> float:
@@ -66,6 +64,8 @@ class SystemConfig:
             data.get("r_convention", "invariant"),
             tol, seed,
         )
+        if not isinstance(cfg.hypersurface, (str, type(None))):
+            raise errors.InputError(f"{where}: hypersurface must be a form string")
         if cfg.r_convention not in ("paper", "invariant"):
             raise errors.InputError(f"{where}: bad r_convention {cfg.r_convention!r}")
         if len(cfg.forms) != N + 1:
@@ -109,17 +109,6 @@ class SystemConfig:
             raise errors.InputError(f"declared N={self.N} but got {pm.N}")
         hyp = parse_form(self.hypersurface, self.N + 1) if self.hypersurface else None
         return DynSystem(pm, hyp, self.r_convention)
-
-    def to_dict(self):
-        return {
-            "N": self.N,
-            "d": self.d,
-            "forms": self.forms,
-            "hypersurface": self.hypersurface,
-            "r_convention": self.r_convention,
-            "tol": self.tol,
-            "seed": self.seed,
-        }
 
 
 def _parse_point(text: str) -> ProjPoint:
@@ -393,59 +382,6 @@ def _cmd_lehmer(args):
     return 0
 
 
-def _cmd_selftest(args):
-    import random
-
-    from .homopoly import evaluate
-
-    failures = []
-
-    def check(name, ok):
-        line = f"{'PASS' if ok else 'FAIL'}  {name}"
-        sys.stdout.write(line + "\n")
-        if not ok:
-            failures.append(name)
-
-    rng = random.Random(17)
-    worst = 0.0
-    for _ in range(200):
-        num = rng.randint(1, 10**12) * rng.choice([1, -1])
-        den = rng.randint(1, 10**12)
-        s = product_formula_sum(Fraction(num, den))
-        worst = max(worst, abs(s.total()))
-    check("product formula on 200 random rationals (|sum| <= 1e-12)", worst <= 1e-12)
-
-    pw = DynSystem(parse_map(["x0^2", "x1^2"]))
-    check("Res(x^2, y^2) = 1", macaulay_resultant(pw.map) == 1)
-    check("Res(2x^2, y^2) = 4",
-          macaulay_resultant(parse_map(["2*x0^2", "x1^2"])) == 4)
-    check("Res(x^2, y^2, z^2) = 1",
-          macaulay_resultant(parse_map(["x0^2", "x1^2", "x2^2"])) == 1)
-
-    rate = escape_rate(pw, Place.archimedean(), ProjPoint.exact([2, 1]), 1e-11)
-    check("power-map escape rate at [2:1]", abs(rate.total() - math.log(2)) < 1e-9)
-    cheb = DynSystem(parse_map(["x0^2 - 2*x1^2", "x1^2"]))
-    rate = escape_rate(cheb, Place.archimedean(), ProjPoint.exact([3, 1]), 1e-11)
-    check("Chebyshev escape rate at [3:1]",
-          abs(rate.total() - math.log((3 + math.sqrt(5)) / 2)) < 1e-9)
-
-    fam = special_basis(pw, 6)
-    check("special basis rank at n=6 on P^1", len(fam) == 7)
-    ok = True
-    for el in fam.elements:
-        pt = ProjPoint.exact([Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
-                              Fraction(rng.randint(1, 9), rng.randint(1, 9))])
-        ok = ok and el.evaluate_at(pw, pt, {}) == evaluate(el.expanded, pt)
-    check("basis elements re-expand (provenance oracle)", ok)
-
-    h = canonical_height(pw, ProjPoint.exact([2, 1]), 1e-12)
-    check("canonical height of [2:1] under z^2", abs(h.value - math.log(2)) < 1e-11)
-
-    sys.stdout.write(("selftest: OK\n" if not failures else
-                      f"selftest: {len(failures)} failure(s)\n"))
-    return 0 if not failures else 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="greenfield",
@@ -525,9 +461,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.add_argument("--csv", default=None)
     p.set_defaults(fn=_cmd_lehmer)
-
-    p = sub.add_parser("selftest", help="run the embedded invariant suite")
-    p.set_defaults(fn=_cmd_selftest)
     return top
 
 

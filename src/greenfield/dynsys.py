@@ -25,8 +25,7 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (DimensionMismatch, DomainError, InternalCheckError, NotAMorphism,
-                     PreconditionError)
+from .errors import DimensionMismatch, DomainError, InternalCheckError, NotAMorphism
 from .homopoly import (HomoForm, PolyMap, ProjPoint, _term_sum, coeff_sup_log, evaluate,
                        iterate)
 from .macaulay import elimination_certificates, macaulay_degree, macaulay_resultant
@@ -57,6 +56,7 @@ class ReductionInfo:
 
     @property
     def kind(self) -> str:
+        """"good" or "bad"; archimedean places are bad by convention."""
         return "good" if self.good else "bad"
 
 
@@ -117,7 +117,7 @@ class DynSystem:
                 raise DomainError("hypersurface variable count mismatch")
             if hypersurface.is_zero():
                 raise DomainError("zero hypersurface form")
-            inv = check_invariance_forms(pm, hypersurface)
+            inv = check_invariance(pm, hypersurface)
             if not inv:
                 raise DomainError(
                     "hypersurface is not invariant under the map "
@@ -197,20 +197,14 @@ class DynSystem:
         return info
 
 
-def check_invariance_forms(pm: PolyMap, g: HomoForm) -> InvarianceResult:
+def check_invariance(pm: PolyMap, g: HomoForm) -> InvarianceResult:
+    """True iff G∘F = Q·G for some form Q; returns Q, or the nonzero
+    remainder of the exact division on failure."""
     comp = g.substitute(pm.forms)
     q, r = divmod_form(comp, g)
     if r.is_zero():
         return InvarianceResult(True, q, None)
     return InvarianceResult(False, None, r)
-
-
-def check_invariance(system: DynSystem) -> InvarianceResult:
-    """True iff G∘F = Q·G for some form Q; returns Q, or the nonzero
-    remainder of the exact division on failure."""
-    if system.hypersurface is None:
-        raise PreconditionError("system has no hypersurface")
-    return check_invariance_forms(system.map, system.hypersurface)
 
 
 def _reduction_type(system: DynSystem, place: Place) -> ReductionInfo:
@@ -227,12 +221,6 @@ def _reduction_type(system: DynSystem, place: Place) -> ReductionInfo:
     # two normalizations agree:
     good = ord_res == w * t
     return ReductionInfo(good, t, ord_res % w != 0)
-
-
-def reduction_type(system: DynSystem, place: Place) -> str:
-    """"good" or "bad" per the unit-resultant/unit-coefficients test;
-    archimedean places are bad by convention."""
-    return system.reduction(place).kind
 
 
 # ---------------------------------------------------------------------------

@@ -260,15 +260,26 @@ def report_places(system: DynSystem) -> list[Place]:
     return contributing_places(system, probe)
 
 
-def _witness_or_note(compute):
-    """(witness as a float, None), or (None, the reason there is none)."""
+def _place_bounds(system: DynSystem, basis: BasisFamily, place: Place, tol: float,
+                  arch_witness):
+    """(envelope, witness or None, note) for log d_H(n) at the place: the
+    Hadamard envelope from the Julia-radius bound, and the witness of
+    `arch_witness()` at the archimedean place or of a greedy grid tuple
+    at a finite one, with the reason when there is none.  A witness
+    above its envelope fails a hard check."""
+    n = basis.n
+    env = hadamard_envelope(system, n, julia_radius_log(system, place), place) / (n * basis.cn)
     try:
-        w = compute()
+        w = arch_witness() if place.is_archimedean else dbn_witness(
+            system, basis, sample_julia_tuple(system, basis, place, tol), place, tol)
     except (PreconditionError, ResourceLimit) as exc:
-        return None, str(exc)
+        return env, None, str(exc)
     if w is MINUS_INFINITY:
-        return None, "the tuple's evaluation determinant vanishes"
-    return w.total(), None
+        return env, None, "the tuple's evaluation determinant vanishes"
+    if w.total() > env + 1e-6:
+        raise InternalCheckError(
+            f"witness {w.total()} exceeds envelope {env} at {place} (n={n})")
+    return env, w.total(), None
 
 
 def adelic_report(system: DynSystem, n_list, budget: int = 4000, seed: int = 7,
@@ -286,21 +297,11 @@ def adelic_report(system: DynSystem, n_list, budget: int = 4000, seed: int = 7,
         wits = {}
         notes = {}
         for place in places:
-            r_log = julia_radius_log(system, place)
-            envs[repr(place)] = hadamard_envelope(system, n, r_log, place) / (n * c)
-            if place.is_archimedean:
-                wit, note = _witness_or_note(
-                    lambda: fekete_search(system, basis, n, budget, seed).witness)
-            else:
-                wit, note = _witness_or_note(lambda: dbn_witness(
-                    system, basis, sample_julia_tuple(system, basis, place, tol), place, tol))
-            wits[repr(place)] = wit
+            envs[repr(place)], wits[repr(place)], note = _place_bounds(
+                system, basis, place, tol,
+                lambda: fekete_search(system, basis, n, budget, seed).witness)
             if note is not None:
                 notes[repr(place)] = note
-            if wit is not None and wit > envs[repr(place)] + 1e-6:
-                raise InternalCheckError(
-                    f"witness {wit} exceeds envelope {envs[repr(place)]} at {place} (n={n})"
-                )
         env_sum = math.fsum(envs.values())
         wit_vals = [w for w in wits.values() if w is not None]
         wit_sum = math.fsum(wit_vals) if len(wit_vals) == len(places) else None
@@ -330,13 +331,9 @@ def transfin_trend(system: DynSystem, n_list, places=None, tol: float = 1e-9):
                 row["skipped"] = "no rational rescaling attains |Res|_v = 1"
                 rows.append(row)
                 continue
-            r_log = julia_radius_log(system, place)
-            row["envelope_logd"] = hadamard_envelope(system, n, r_log, place) / (n * c)
-            row["witness_logd"], note = _witness_or_note(lambda: dbn_witness(
-                system, basis,
-                roots_of_unity_tuple(c) if place.is_archimedean
-                else sample_julia_tuple(system, basis, place, tol),
-                place, tol))
+            row["envelope_logd"], row["witness_logd"], note = _place_bounds(
+                system, basis, place, tol,
+                lambda: dbn_witness(system, basis, roots_of_unity_tuple(c), place, tol))
             if note is not None:
                 row["witness_note"] = note
             rows.append(row)

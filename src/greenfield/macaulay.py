@@ -38,21 +38,18 @@ class MacaulayMatrix:
         d = pm.degree
         n = pm.nvars
         if precedence is None:
-            precedence = tuple(range(n))
-        self.precedence = tuple(precedence)
+            precedence = range(n)
         self.e = macaulay_degree(d, n - 1)
         self.columns = monomials_of_degree(n, self.e)
         col_index = {m: j for j, m in enumerate(self.columns)}
-        self.row_labels = []  # (i, multiplier monomial)
         self.reduced = []
         rows = []
         for alpha in self.columns:
             big = [i for i in range(n) if alpha[i] >= d]
             if not big:
                 raise InternalCheckError("degree-e monomial with no x_i^d divisor")
-            pick = next(i for i in self.precedence if alpha[i] >= d)
+            pick = next(i for i in precedence if alpha[i] >= d)
             mu = tuple(a - (d if i == pick else 0) for i, a in enumerate(alpha))
-            self.row_labels.append((pick, mu))
             self.reduced.append(len(big) == 1)
             row = [Fraction(0)] * len(self.columns)
             for expo, c in pm.forms[pick].coeffs.items():
@@ -171,8 +168,10 @@ def _certificate_system(pm: PolyMap, m: int):
 
 
 def elimination_certificates(pm: PolyMap, phis: list[HomoForm]) -> list[list[HomoForm]]:
-    """Certificates eta with phi = sum eta_i F_i for several forms phi of
-    one common degree, sharing a single matrix factorization."""
+    """Certificates (eta_0, ..., eta_N) with phi = sum eta_i F_i exactly
+    for several forms phi of one common degree, sharing one matrix
+    factorization; each takes the solution supported on the earliest
+    cofactor coefficients in (index, descending-lex) order."""
     if not phis:
         return []
     n = pm.nvars
@@ -217,9 +216,3 @@ def elimination_certificates(pm: PolyMap, phis: list[HomoForm]) -> list[list[Hom
         out.append(etas)
     return out
 
-
-def elimination_certificate(pm: PolyMap, phi: HomoForm) -> list[HomoForm]:
-    """Forms (eta_0, ..., eta_N) with phi = sum eta_i F_i exactly, each of
-    degree deg(phi) - d; picks the solution supported on the earliest
-    cofactor coefficients in (index, descending-lex) order."""
-    return elimination_certificates(pm, [phi])[0]

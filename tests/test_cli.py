@@ -1,9 +1,13 @@
+import io
 import json
 import math
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from greenfield import cli, dynsys
 from greenfield.cli import SystemConfig, run
@@ -139,12 +143,6 @@ def test_lehmer_command(capsys, tmp_path):
     assert csv_path.exists()
 
 
-def test_selftest(capsys):
-    code, out = run_json(capsys, ["selftest"])
-    assert code == 0
-    assert "selftest: OK" in out
-
-
 def test_exit_codes(capsys, tmp_path, power_cfg, half_cfg):
     assert run(["resultant", str(tmp_path / "missing.json")]) == 2
     bad = tmp_path / "bad.json"
@@ -153,6 +151,10 @@ def test_exit_codes(capsys, tmp_path, power_cfg, half_cfg):
     wrong = tmp_path / "wrong.json"
     wrong.write_text(json.dumps({"N": 1, "d": 3, "forms": ["x0^2", "x1^2"]}))
     assert run(["resultant", str(wrong)]) == 2
+    wrong.write_text(json.dumps({"N": 1, "d": 2, "forms": ["x0^2", "x1^2"],
+                                 "hypersurface": 7}))
+    assert run(["resultant", str(wrong)]) == 2
+    assert run(["selftest"]) == 2  # no such command
     assert run(["height", power_cfg, "--point", "0,0"]) == 1
     assert run(["escape", power_cfg, "--point", "1,1", "--place", "q=3"]) == 2
     assert run(["escape", power_cfg, "--point", "1/0,1"]) == 2
@@ -264,15 +266,6 @@ def test_composite_place_is_a_parse_error(capsys, power_cfg):
     capsys.readouterr()
 
 
-def test_config_roundtrip():
-    cfg = SystemConfig.from_dict({
-        "N": 1, "d": 2, "forms": ["x0^2 + 1/2*x1^2", "x1^2"],
-        "hypersurface": None, "r_convention": "paper",
-    })
-    again = SystemConfig.from_dict(cfg.to_dict())
-    assert again == cfg
-
-
 def test_adelic_report_byte_identical(tmp_path, half_cfg):
     outs = []
     for name in ("a.json", "b.json"):
@@ -282,3 +275,122 @@ def test_adelic_report_byte_identical(tmp_path, half_cfg):
         assert code == 0
         outs.append(path.read_bytes())
     assert outs[0] == outs[1]
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing: argv from a small grammar of commands, options and system files
+
+_GOOD_SYSTEMS = [
+    {"N": 1, "d": 2, "forms": ["x0^2", "x1^2"]},
+    {"N": 1, "d": 2, "forms": ["x0^2 + 1/2*x1^2", "x1^2"], "tol": 1e-6, "seed": 3},
+    {"N": 1, "d": 3, "forms": ["x0^3 - 5/3*x0*x1^2 + 2*x1^3", "7*x1^3"],
+     "r_convention": "paper"},
+    {"N": 2, "d": 2, "forms": ["x0^2", "x1^2", "x2^2"], "hypersurface": "x0*x2 - x1^2"},
+]
+_WRONG_VALUES = [None, 7, -1, 0, 2.5, True, "", "x", "x0^2", "x0 -", "nan",
+                 [], [1], ["x0^2"], [1, 2], {}, {"a": 1}]
+_BAD_FILES = ["{not json", "[1, 2]", "3", '"x"', "", "null"]
+
+
+def _pick(draw, good, bad):
+    """A good value four times in five, else a malformed one."""
+    return draw(st.sampled_from(bad if draw(st.integers(0, 4)) == 0 else good))
+
+
+@st.composite
+def _system_texts(draw):
+    kind = draw(st.sampled_from(["good", "good", "wrong", "wrong", "missing", "raw"]))
+    if kind == "raw":
+        return draw(st.sampled_from(_BAD_FILES))
+    data = dict(draw(st.sampled_from(_GOOD_SYSTEMS)))
+    key = draw(st.sampled_from(["N", "d", "forms", "hypersurface", "r_convention",
+                                "tol", "seed"]))
+    if kind == "wrong":
+        data[key] = draw(st.sampled_from(_WRONG_VALUES))
+    elif kind == "missing":
+        data.pop(key, None)
+    return json.dumps(data)
+
+
+_POINTS = (["2,1", "1/2,1", "3/2,1", "-1,1", "1,0", "0,0", "1,1,1", "2,1,3"],
+           ["3,1,5", "1/0,1", "a,1", "", ",", "1e3,1", "1"])
+_TOLS = (["1e-9", "1e-6", "0.5"], ["1e-300", "0", "-1", "nan", "inf", "abc"])
+_N = (["1", "2", "3"], ["0", "-1", "x"])
+_BUDGETS = (["1", "10", "50"], ["0", "-5", "x"])  # the defaults are far too slow here
+_SEEDS = (["0", "7"], ["x"])
+_CURVE = (["0,-2", "-2,945/8", "0,1"], ["0,0", "1", "a,b"])
+_CURVE_POINT = (["3,5", "-9/2,6", "2,3", "-1,0"], ["0,0", "3", "1,1"])
+# command -> [(flag, (good values, malformed values), how often it is given)];
+# a flag without values is a switch, and --points takes a list of _POINTS
+_GRAMMAR = {
+    "resultant": [],
+    "height": [("--point", _POINTS, "usually"), ("--tol", _TOLS, "maybe")],
+    "escape": [("--point", _POINTS, "usually"), ("--tol", _TOLS, "maybe"),
+               ("--place", (["inf", "p=2", "p=3", "p=7"],
+                            ["p=6", "q=3", "p=x", "p=1", "p=0", ""]), "maybe")],
+    "basis": [("--n", _N, "usually")],
+    "green": [("--n", _N, "usually"), ("--points", None, "usually"),
+              ("--tol", _TOLS, "maybe"),
+              ("--place", (["inf", "p=2", "p=3"], ["p=4"]), "maybe"),
+              ("--basis", (["special", "monomial"], ["bogus"]), "maybe"),
+              ("--convention", (["paper", "invariant"], ["bogus"]), "maybe"),
+              ("--witness", None, "maybe")],
+    "fekete": [("--n", _N, "usually"), ("--budget", _BUDGETS, "always"),
+               ("--seed", _SEEDS, "maybe"),
+               ("--basis", (["special", "monomial"], ["bogus"]), "maybe")],
+    "adelic-report": [("--n", (["2", "2,3", "3,,2"], ["1,2", "0", "x", ""]), "usually"),
+                      ("--budget", _BUDGETS, "always"), ("--tol", _TOLS, "maybe"),
+                      ("--seed", _SEEDS, "maybe")],
+    "multiples": [("--curve", _CURVE, "usually"), ("--point", _CURVE_POINT, "usually"),
+                  ("--n", _N, "usually")],
+    "lehmer-scan": [("--curve", _CURVE, "usually"), ("--point", _CURVE_POINT, "usually"),
+                    ("--depths", (["0", "0,1", "1"], ["4", "-1", "x"]), "maybe"),
+                    ("--tol", _TOLS, "maybe")],
+    "selftest": [],
+    "nonsense": [],
+}
+_SYSTEM_COMMANDS = {"resultant", "height", "escape", "basis", "green", "fekete",
+                    "adelic-report"}
+
+
+@st.composite
+def _argvs(draw, system_path, missing_path):
+    cmd = draw(st.sampled_from(sorted(_GRAMMAR)))
+    argv = [cmd]
+    if cmd in _SYSTEM_COMMANDS:
+        argv.append(missing_path if draw(st.integers(0, 9)) == 0 else system_path)
+    for flag, values, how in _GRAMMAR[cmd]:
+        # "usually" leaves a required option out one time in ten: a parse error
+        if how == "usually" and draw(st.integers(0, 9)) == 0:
+            continue
+        if how == "maybe" and not draw(st.booleans()):
+            continue
+        # "--flag=value", so that values like "-1,1" are not read as options
+        if flag == "--points":
+            argv.append(flag + "=" + ";".join(_pick(draw, *_POINTS)
+                                              for _ in range(draw(st.integers(0, 5)))))
+        else:
+            argv.append(flag if values is None else flag + "=" + _pick(draw, *values))
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+def test_cli_fuzz_exit_codes(fuzz_dir):
+    system_path = str(fuzz_dir / "system.json")
+    missing_path = str(fuzz_dir / "missing.json")
+
+    @settings(max_examples=500, deadline=None)
+    @given(_system_texts(), _argvs(system_path, missing_path))
+    def check(text, argv):
+        with open(system_path, "w") as fh:
+            fh.write(text)
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            code = run(argv)
+        assert code in (0, 1, 2), (text, argv)
+
+    check()
+

@@ -5,7 +5,6 @@ Sections of O(n) restricted to the conic pull back to degree-2n forms
 on P^1, so c(n) = 2n + 1 and evaluation matrices at Veronese points of
 distinct parameters are nonsingular."""
 
-import math
 from fractions import Fraction
 
 import pytest
@@ -34,7 +33,7 @@ def veronese(a, b):
 
 
 def test_invariance_with_explicit_quotient(conic):
-    inv = check_invariance(conic)
+    inv = check_invariance(conic.map, conic.hypersurface)
     assert inv.holds
     assert inv.quotient == parse_form("x0*x2 + x1^2", 3)
 

@@ -4,11 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from greenfield.dynsys import (DynSystem, Membership, check_invariance,
-                               check_invariance_forms, divmod_form,
-                               escape_rate, julia_membership, reduction_type)
-from greenfield.errors import (DimensionMismatch, DomainError, NotAMorphism,
-                               PreconditionError)
+from greenfield.dynsys import (DynSystem, Membership, check_invariance, divmod_form,
+                               escape_rate, julia_membership)
+from greenfield.errors import DimensionMismatch, DomainError, NotAMorphism
 from greenfield.homopoly import ProjPoint, parse_form, parse_map
 from greenfield.pffield import Place
 
@@ -30,21 +28,19 @@ def test_constructor_rejects_non_morphism():
 
 
 def test_invariance_examples(power_map):
-    inv = check_invariance_forms(power_map.map, parse_form("x1", 2))
+    inv = check_invariance(power_map.map, parse_form("x1", 2))
     assert inv.holds and inv.quotient == parse_form("x1", 2)
-    inv = check_invariance_forms(power_map.map, parse_form("x0 - x1", 2))
+    inv = check_invariance(power_map.map, parse_form("x0 - x1", 2))
     assert inv.holds and inv.quotient == parse_form("x0 + x1", 2)
-    inv = check_invariance_forms(power_map.map, parse_form("x0 - 2*x1", 2))
+    inv = check_invariance(power_map.map, parse_form("x0 - 2*x1", 2))
     assert not inv.holds and not inv.remainder.is_zero()
 
 
 def test_invariant_hypersurface_accepted_and_checked():
     sys_line = DynSystem(parse_map(["x0^2", "x1^2"]), parse_form("x0 - x1", 2))
-    assert check_invariance(sys_line).holds
+    assert check_invariance(sys_line.map, sys_line.hypersurface).holds
     with pytest.raises(DomainError):
         DynSystem(parse_map(["x0^2", "x1^2"]), parse_form("x0 - 2*x1", 2))
-    with pytest.raises(PreconditionError):
-        check_invariance(DynSystem(parse_map(["x0^2", "x1^2"])))
 
 
 def test_divmod_form():
@@ -152,11 +148,11 @@ def test_membership_examples(power_map):
 
 def test_reduction_type_examples(power_map):
     for p in (2, 3, 5, 97):
-        assert reduction_type(power_map, Place.prime(p)) == "good"
-    assert reduction_type(power_map, ARCH) == "bad"
+        assert power_map.reduction(Place.prime(p)).kind == "good"
+    assert power_map.reduction(ARCH).kind == "bad"
     third = DynSystem(parse_map(["x0^2 + 1/3*x1^2", "x1^2"]))
-    assert reduction_type(third, Place.prime(3)) == "bad"
-    assert reduction_type(third, Place.prime(2)) == "good"
+    assert third.reduction(Place.prime(3)).kind == "bad"
+    assert third.reduction(Place.prime(2)).kind == "good"
 
 
 def test_reduction_respects_rescaling():

@@ -227,6 +227,18 @@ def test_internal_check_error_escapes_the_witness_notes(half_map, half_cfg_path,
     assert "broken certificate" in capsys.readouterr().err
 
 
+def test_witness_above_the_envelope_fails_in_both_reports(power_map, half_map,
+                                                          monkeypatch):
+    # both reports enforce witness <= envelope; the trend checks it with
+    # roots of unity at infinity and with a grid tuple at p = 2
+    monkeypatch.setattr(experiments, "hadamard_envelope", lambda *args: -1e9)
+    with pytest.raises(InternalCheckError, match="exceeds envelope"):
+        adelic_report(half_map, [2], budget=50, seed=3)
+    for system, place in ((power_map, ARCH), (half_map, Place.prime(2))):
+        with pytest.raises(InternalCheckError, match="exceeds envelope"):
+            transfin_trend(system, [2], places=[place])
+
+
 def test_adelic_product_formula_for_exact_tuples(power_map):
     # sum over places of (1/(n c)) log|det|_v vanishes: exact on the
     # p-adic ledger, tiny float residual at infinity

@@ -12,7 +12,7 @@ from greenfield.errors import DomainError, NotAMorphism
 from greenfield.homopoly import (HomoForm, PolyMap, evaluate, form_str,
                                  monomials_of_degree, parse_form, parse_map,
                                  ProjPoint)
-from greenfield.macaulay import (MacaulayMatrix, elimination_certificate,
+from greenfield.macaulay import (MacaulayMatrix, elimination_certificates,
                                  macaulay_degree, macaulay_resultant,
                                  r_normalized)
 from greenfield.pffield import Place
@@ -176,9 +176,9 @@ def test_r_normalized_rejects_non_morphism():
 
 def test_certificate_examples():
     pw = parse_map(["x0^2", "x1^2"])
-    etas = elimination_certificate(pw, parse_form("x0^4", 2))
+    etas = elimination_certificates(pw, [parse_form("x0^4", 2)])[0]
     assert [form_str(e) for e in etas] == ["x0^2", "0"]
-    etas = elimination_certificate(pw, parse_form("x0^2*x1^2", 2))
+    etas = elimination_certificates(pw, [parse_form("x0^2*x1^2", 2)])[0]
     assert [form_str(e) for e in etas] == ["x1^2", "0"]
 
 
@@ -192,7 +192,7 @@ def test_certificate_reexpands_exactly():
             continue
         m = macaulay_degree(d, nvars - 1) + rng.randint(0, 1)
         phi = rand_form(rng, nvars, m)
-        etas = elimination_certificate(pm, phi)
+        etas = elimination_certificates(pm, [phi])[0]
         acc = HomoForm.zero(nvars, m)
         for eta, f in zip(etas, pm.forms):
             assert eta.degree == m - d
@@ -203,13 +203,13 @@ def test_certificate_reexpands_exactly():
 def test_certificate_degree_threshold():
     pw = parse_map(["x0^2", "x1^2"])
     with pytest.raises(DomainError):
-        elimination_certificate(pw, parse_form("x0^2", 2))
+        elimination_certificates(pw, [parse_form("x0^2", 2)])
 
 
 def test_chebyshev_certificate_verified_by_substitution():
     cheb = parse_map(["x0^2 - 2*x1^2", "x1^2"])
     phi = parse_form("x0^3*x1", 2)
-    etas = elimination_certificate(cheb, phi)
+    etas = elimination_certificates(cheb, [phi])[0]
     rng = random.Random(1)
     for _ in range(10):
         pt = ProjPoint.exact([Fraction(rng.randint(-9, 9), rng.randint(1, 9)),

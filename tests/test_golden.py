@@ -21,6 +21,9 @@ DEGENERATE = str(GOLDEN / "degenerate_p2.json")
 # all 20 cubic monomials in every form: a 220 x 220 Macaulay matrix
 DENSE = str(GOLDEN / "dense_d3n3.json")
 CURVE = ["--curve", "0,-2", "--point", "3,5"]
+# x(40P) has 12,927 bits, inside the lattes benchmark's height band; at
+# n = 12 the determinant prints with about 14,000 characters
+BAND_CURVE = ["--curve", "9/5,-8993/540", "--point", "7/3,1/2"]
 
 # name -> (argv, expected exit code); "{csv}" is replaced by a CSV path
 CASES = {
@@ -38,6 +41,7 @@ CASES = {
     "adelic_report": (["adelic-report", HALF, "--n", "4,8", "--budget", "300",
                        "--csv", "{csv}"], 0),
     "multiples": (["multiples", *CURVE, "--n", "4"], 0),
+    "multiples_n12": (["multiples", *BAND_CURVE, "--n", "12"], 0),
     "lehmer_scan": (["lehmer-scan", *CURVE, "--depths", "0,1,2"], 0),
 }
 

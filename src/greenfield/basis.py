@@ -22,12 +22,13 @@ is kept iff it enlarges the exact rank modulo the hypersurface ideal.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations_with_replacement
 
-from .errors import DomainError, InternalCheckError, ResourceLimit
+from .errors import DimensionMismatch, DomainError, InternalCheckError, ResourceLimit
 from .dynsys import DynSystem
 from .homopoly import HomoForm, ProjPoint, _term_sum, form_str, monomials_of_degree
-from .linalg import IncrementalRank
+from .linalg import IncrementalRank, det_fraction
 
 # Enumeration guardrail: abort after this multiple of c(n) candidates.
 CANDIDATE_CAP_FACTOR = 50
@@ -165,6 +166,38 @@ class BasisFamily:
         of the point."""
         orbit = {}
         return [el.evaluate_at(system, point, orbit) for el in self.elements]
+
+    def det(self, system: DynSystem, lifts) -> Fraction:
+        """The exact evaluation determinant det(eta_j(P_i)) of exact lifts.
+
+        On X = P^1 write eta_j = sum_a C[a][j] x0^a x1^(n-a); then the
+        matrix is V C with V[i][a] = x_i^a y_i^(n-a) for P_i = (x_i, y_i),
+        and V is a homogeneous Vandermonde matrix, so the determinant is
+        det(C) * prod_{i<j} (x_j y_i - x_i y_j).  Every other X takes
+        `det_fraction` on the evaluation rows."""
+        if len(lifts) != self.cn or any(len(pt) != system.N + 1 for pt in lifts):
+            raise DimensionMismatch(f"need {self.cn} lifts with {system.N + 1} coordinates")
+        if system.N != 1 or self.cn != self.n + 1:
+            return det_fraction([self.row(system, pt) for pt in lifts])
+        ints, scale = [], 1  # integer lifts and the product of their denominators
+        for pt in lifts:
+            x, y = pt.lift
+            l = math.lcm(x.denominator, y.denominator)
+            ints.append((x.numerator * (l // x.denominator), y.numerator * (l // y.denominator)))
+            scale *= l
+        wedges = 1
+        for j, (xj, yj) in enumerate(ints):
+            for xi, yi in ints[:j]:
+                wedges *= xj * yi - xi * yj
+        # every point lies in n of the pairs
+        return self._coeff_det * Fraction(wedges, scale**self.n)
+
+    @cached_property
+    def _coeff_det(self) -> Fraction:
+        """det(C) on P^1, C[a][j] the coefficient of x0^a x1^(n-a) in eta_j."""
+        n = self.n
+        return det_fraction([[el.expanded.coeffs.get((a, n - a), 0) for el in self.elements]
+                             for a in range(n + 1)])
 
     def max_factor_count(self) -> int:
         return max((len(el.factors) for el in self.elements), default=0)

@@ -10,6 +10,7 @@ import argparse
 import csv
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -109,6 +110,25 @@ class SystemConfig:
             raise errors.InputError(f"declared N={self.N} but got {pm.N}")
         hyp = parse_form(self.hypersurface, self.N + 1) if self.hypersurface else None
         return DynSystem(pm, hyp, self.r_convention)
+
+
+# A value such as "-1,1" or "-2,945/8" begins with the option prefix, and
+# argparse reads it as an option unless "=" attaches it to its flag.  No
+# option here begins with "-" and a digit, "." or "/", so such a token
+# after a long flag is that flag's value.
+_DASH_VALUE = re.compile(r"-[\d./]")
+
+
+def _attach_dash_values(argv) -> list[str]:
+    """Rewrite "--flag -1,1" as "--flag=-1,1"."""
+    out = []
+    for tok in argv:
+        prev = out[-1] if out else ""
+        if _DASH_VALUE.match(tok) and prev.startswith("--") and len(prev) > 2 and "=" not in prev:
+            out[-1] = f"{prev}={tok}"
+        else:
+            out.append(tok)
+    return out
 
 
 def _parse_point(text: str) -> ProjPoint:
@@ -281,10 +301,10 @@ def _cmd_fekete(args):
     cfg = SystemConfig.load(args.system)
     system = cfg.build()
     seed = args.seed if args.seed is not None else cfg.seed
-    basis = _select_basis(system, args.n, args.basis)
-    res = fekete_search(system, basis, args.n, args.budget, seed)
     arch = Place.archimedean()
     env = hadamard_envelope(system, args.n, julia_radius_log(system, arch), arch)
+    basis = _select_basis(system, args.n, args.basis)
+    res = fekete_search(system, basis, args.n, args.budget, seed)
     _emit(
         {
             "kind": "fekete",
@@ -467,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_dash_values(argv))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

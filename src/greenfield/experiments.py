@@ -22,7 +22,7 @@ from .errors import DomainError, InternalCheckError, PreconditionError, Resource
 from .green import dbn_witness, fekete_search, hadamard_envelope, julia_radius_log
 from .heights import HeightValue, canonical_height, contributing_places
 from .homopoly import HomoForm, PolyMap, ProjPoint
-from .linalg import IncrementalRank, det_fraction
+from .linalg import IncrementalRank
 from .pffield import MINUS_INFINITY, Place
 
 
@@ -365,16 +365,13 @@ def multiples_search(system: DynSystem, orbit: list[ProjPoint], n: int,
             f"orbit entries {pair[0] + 1} and {pair[1] + 1} are projectively equal"
         )
     tracker = IncrementalRank(c)
-    rows = []
     indices = []
     for k, lift in enumerate(orbit, start=1):
-        row = basis.row(system, lift)
-        if not tracker.add(row):
+        if not tracker.add(basis.row(system, lift)):
             continue
-        rows.append(row)
         indices.append(k)
         if len(indices) == c:
-            det = det_fraction(rows)
+            det = basis.det(system, [orbit[i - 1] for i in indices])
             if det == 0:
                 raise InternalCheckError("selected rows are dependent despite rank check")
             return MultiplesResult(indices, det, basis)

@@ -19,7 +19,6 @@ from .basis import BasisFamily, section_dim, t2_floor
 from .dynsys import DynSystem, Membership, escape_rate, julia_membership
 from .errors import DimensionMismatch, DomainError, PreconditionError
 from .homopoly import ProjPoint, evaluate
-from .linalg import det_fraction
 from .macaulay import r_normalized
 from .pffield import (LogMag, MINUS_INFINITY, PLUS_INFINITY, Place, abs_log)
 
@@ -41,11 +40,12 @@ def eval_det_log(system: DynSystem, basis: BasisFamily, lifts, place: Place):
     numeric = numeric_flags.pop()
     if numeric and not place.is_archimedean:
         raise DomainError("numeric lifts are archimedean-only")
-    rows = [basis.row(system, pt) for pt in lifts]
     if not numeric:
-        det = det_fraction(rows)
+        det = basis.det(system, lifts)
         return MINUS_INFINITY if det == 0 else abs_log(place, det)
-    m = np.array(rows, dtype=complex)
+    if any(len(pt) != system.N + 1 for pt in lifts):
+        raise DimensionMismatch(f"lifts need {system.N + 1} coordinates")
+    m = np.array([basis.row(system, pt) for pt in lifts], dtype=complex)
     sign, logabs = np.linalg.slogdet(m)
     if sign == 0 or not np.isfinite(logabs):
         return MINUS_INFINITY

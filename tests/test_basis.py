@@ -4,14 +4,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from greenfield import basis as basis_mod
 from greenfield.basis import (floor_G, gen_degrees, monomial_basis,
                               section_dim, spanning_family, special_basis,
                               t1_floor, t2_floor)
 from greenfield.dynsys import DynSystem
-from greenfield.errors import DomainError
-from greenfield.homopoly import HomoForm, ProjPoint, evaluate, form_str, iterate, parse_form, parse_map
-from greenfield.linalg import IncrementalRank
+from greenfield.errors import DomainError, NotAMorphism
+from greenfield.homopoly import (HomoForm, PolyMap, ProjPoint, evaluate, form_str, iterate,
+                                 monomials_of_degree, parse_form, parse_map)
+from greenfield.linalg import IncrementalRank, det_fraction
 
 
 def power_system(N, d):
@@ -151,3 +155,76 @@ def test_section_dim_hypersurface_small_n():
     assert section_dim(system, 2) == 6  # below deg G: full space
     assert section_dim(system, 3) == 9
     assert section_dim(system, 5) == math.comb(7, 2) - math.comb(4, 2)
+
+
+_small = st.fractions(min_value=-6, max_value=6, max_denominator=5)
+_coord = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 9))
+
+
+@st.composite
+def _lifts(draw, nvars, count):
+    """Distinct exact points, zero coordinates allowed; one tuple in five
+    repeats a point with a new scaling (a singular tuple)."""
+    point = st.lists(_coord, min_size=nvars, max_size=nvars).filter(any).map(ProjPoint.exact)
+    lifts = draw(st.lists(point, min_size=count, max_size=count, unique_by=ProjPoint.key))
+    if count > 1 and draw(st.integers(0, 4)) == 0:
+        i, j = draw(st.lists(st.integers(0, count - 1), min_size=2, max_size=2, unique=True))
+        lifts[j] = lifts[i].scaled(draw(_small.filter(bool)))
+    return lifts
+
+
+@st.composite
+def _system(draw, nvars, degrees):
+    d = draw(st.sampled_from(degrees))
+    monos = monomials_of_degree(nvars, d)
+    forms = [HomoForm(nvars, d, {m: draw(_small) for m in monos}) for _ in range(nvars)]
+    try:
+        return DynSystem(PolyMap(forms))
+    except (DomainError, NotAMorphism):
+        assume(False)
+
+
+@st.composite
+def _p1_cases(draw):
+    system = draw(_system(2, (2, 3, 4)))
+    n = draw(st.sampled_from(range(1, 11)))
+    fam = special_basis(system, n) if draw(st.booleans()) else monomial_basis(1, n)
+    return system, fam, draw(_lifts(2, n + 1))
+
+
+@settings(max_examples=200)
+@given(_p1_cases())
+def test_p1_evaluation_det_matches_bareiss(case):
+    # det(C) * prod_{i<j} (x_j y_i - x_i y_j) against elimination on the
+    # evaluation rows, sign and zero included
+    system, fam, lifts = case
+    assert fam.det(system, lifts) == det_fraction([fam.row(system, pt) for pt in lifts])
+
+
+@st.composite
+def _fallback_cases(draw):
+    if draw(st.booleans()):
+        system = draw(_system(3, (2,)))
+        fam = special_basis(system, draw(st.integers(1, 3)))
+    else:
+        # the power map fixes 0 and infinity, so V(x0 x1) is invariant
+        system = DynSystem(parse_map(["x0^2", "x1^2"]), parse_form("x0*x1", 2))
+        fam = special_basis(system, draw(st.integers(2, 6)))
+    return system, fam, draw(_lifts(system.N + 1, fam.cn))
+
+
+@settings(max_examples=40)
+@given(_fallback_cases())
+def test_evaluation_det_falls_back_to_bareiss_off_p1(case):
+    system, fam, lifts = case
+    rows = [fam.row(system, pt) for pt in lifts]
+    seen = []
+
+    def spy(matrix):
+        seen.append(matrix)
+        return det_fraction(matrix)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(basis_mod, "det_fraction", spy)
+        got = fam.det(system, lifts)
+    assert seen == [rows]
+    assert got == det_fraction(rows)

@@ -236,6 +236,32 @@ def test_multiples_prints_determinants_beyond_the_str_limit(capsys):
     assert len(payload["determinant"]) > 4300
 
 
+def test_negative_values_parse_after_a_space(capsys, half_cfg):
+    # "--point -1,1" begins with the option prefix; it must parse like
+    # "--point=-1,1" rather than as an unknown option
+    curve = ("--curve", "-2,945/8", "--point", "-9/2,6")
+    cases = [
+        (["escape", half_cfg, "--place", "p=2"], ("--point", "-1,1")),
+        (["height", half_cfg], ("--point", "-3/2,1")),
+        (["multiples", "--n", "3"], curve),
+        (["lehmer-scan", "--depths", "0,1"], curve),
+    ]
+    for head, pairs in cases:
+        spaced = head + list(pairs)
+        attached = head + [f"{flag}={value}" for flag, value in zip(pairs[::2], pairs[1::2])]
+        code, out = run_json(capsys, spaced)
+        assert code == 0, spaced
+        assert run_json(capsys, attached) == (0, out)
+
+
+def test_fekete_rejects_small_n_before_searching(capsys, monkeypatch, half_cfg):
+    def no_search(*args, **kwargs):
+        raise AssertionError("fekete_search ran for n < 2")
+    monkeypatch.setattr(cli, "fekete_search", no_search)
+    assert run(["fekete", half_cfg, "--n", "1"]) == 1
+    assert capsys.readouterr().err == "error: envelope needs n >= 2\n"
+
+
 def test_torsion_input_rejected_with_code_1(capsys):
     code = run(["multiples", "--curve", "0,1", "--point", "2,3", "--n", "2"])
     assert code == 1

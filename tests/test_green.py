@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from greenfield.basis import monomial_basis, special_basis
 from greenfield.dynsys import DynSystem
@@ -12,6 +14,7 @@ from greenfield.green import (dbn_witness, eval_det_log, fekete_search,
                               green_value, hadamard_envelope, julia_radius_log)
 from greenfield.homopoly import ProjPoint, parse_form, parse_map
 from greenfield.linalg import det_fraction
+from greenfield.macaulay import r_normalized
 from greenfield.pffield import (MINUS_INFINITY, PLUS_INFINITY, Place, abs_log,
                                 support)
 
@@ -36,6 +39,10 @@ def test_eval_det_input_validation(power_map):
     mb = monomial_basis(1, 1)
     with pytest.raises(DimensionMismatch):
         eval_det_log(power_map, mb, [exact([1, 1])], ARCH)
+    # a lift of the wrong length is rejected, not truncated by the evaluation
+    for make in (exact, ProjPoint.of_numeric):
+        with pytest.raises(DimensionMismatch):
+            eval_det_log(power_map, mb, [make([1, 1]), make([2, 1, 5])], ARCH)
     with pytest.raises(DomainError):
         eval_det_log(power_map, mb, [exact([1, 1]), ProjPoint.of_numeric([1, 1])], ARCH)
     with pytest.raises(DomainError):
@@ -239,3 +246,48 @@ def test_fekete_needs_p1_without_chart(power_map_p2):
     from greenfield.basis import monomial_basis as mb
     with pytest.raises(PreconditionError):
         fekete_search(power_map_p2, mb(2, 2), 2, 100, seed=1)
+
+
+ELKIES_MAPS = {
+    "power": ["x0^2", "x1^2"],
+    "half": ["x0^2 + 1/2*x1^2", "x1^2"],  # bad at 2
+    "sixfifths": ["x0^2 - 6/5*x1^2", "x1^2"],  # bad at 5
+    "cubic": ["x0^3 - 5/3*x0*x1^2 + 2*x1^3", "7*x1^3"],  # bad at 3 and 7
+}
+ELKIES_PLACES = (ARCH, Place.prime(2), Place.prime(3), Place.prime(5), Place.prime(7))
+
+
+def _tuples(c):
+    point = st.tuples(st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)),
+                      st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+                      ).filter(any).map(exact)
+    return st.lists(point, min_size=c, max_size=c, unique_by=ProjPoint.key)
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+@pytest.mark.parametrize("name", sorted(ELKIES_MAPS))
+def test_green_value_above_the_envelope_bound(name, n):
+    # Elkies-type inequality, place by place: g_v(P_1..P_c) >=
+    # r_v - envelope_v(n) / (n c), because the lift-invariant part of
+    # g_v is -(1/(n c)) log|det| on lifts of escape rate 0, which lie in
+    # the region the envelope covers.  At good places both sides are
+    # exact and the bound can be attained.
+    system = DynSystem(parse_map(ELKIES_MAPS[name]))
+    fam = special_basis(system, n)
+    c = fam.cn
+    bounds = {}
+    for place in ELKIES_PLACES:
+        env = hadamard_envelope(system, n, julia_radius_log(system, place), place)
+        r = r_normalized(system.map, place, system.r_convention, resultant=system.resultant)
+        bounds[place] = (r, env / (n * c))
+
+    @settings(max_examples=15)
+    @given(_tuples(c))
+    def check(lifts):
+        for place, (r, env) in bounds.items():
+            g = green_value(system, fam, lifts, place)
+            if g is PLUS_INFINITY:
+                continue
+            slack = g.total() - (r.total() - env)
+            assert slack >= -(g.arch_err + r.arch_err + 1e-9), (place, slack)
+    check()

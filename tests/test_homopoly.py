@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from greenfield.errors import DimensionMismatch, DomainError, InputError
 from greenfield.homopoly import (HomoForm, PolyMap, ProjPoint, coeff_sup_log,
@@ -156,15 +158,22 @@ def test_modes_never_mix():
         ProjPoint.of_numeric([0, 0])
 
 
-def test_serialize_parse_roundtrip_bytewise():
-    rng = random.Random(8)
-    for _ in range(40):
-        nvars = rng.choice([2, 3])
-        f = rand_form(rng, nvars, rng.randint(1, 5), nterms=4)
-        text = form_str(f)
-        again = parse_form(text, nvars)
-        assert form_str(again) == text
-        assert again == f
+@st.composite
+def _sparse_forms(draw):
+    nvars = draw(st.sampled_from([2, 3]))
+    degree = draw(st.integers(0, 7))
+    monos = monomials_of_degree(nvars, degree)
+    coeff = st.fractions(max_denominator=10**6).filter(bool)
+    coeffs = draw(st.dictionaries(st.sampled_from(monos), coeff, min_size=1))
+    return HomoForm(nvars, degree, coeffs)
+
+
+@given(_sparse_forms())
+def test_serialize_parse_roundtrip_bytewise(f):
+    text = form_str(f)
+    again = parse_form(text, f.nvars)
+    assert again == f
+    assert form_str(again) == text
 
 
 def test_parse_form_rejects_bad_input():

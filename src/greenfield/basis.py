@@ -29,9 +29,15 @@ from .errors import DimensionMismatch, DomainError, InternalCheckError, Resource
 from .dynsys import DynSystem
 from .homopoly import HomoForm, ProjPoint, _term_sum, form_str, monomials_of_degree
 from .linalg import IncrementalRank, det_fraction
+from .pffield import LogMag, MINUS_INFINITY, Place, abs_log
 
 # Enumeration guardrail: abort after this multiple of c(n) candidates.
 CANDIDATE_CAP_FACTOR = 50
+
+# binary64 unit roundoff; sqrt(5) u bounds a complex product's relative error (Brent,
+# Percival & Zimmermann 2007), padded by (1 + 16u) for second-order terms.
+U = 2.0**-53
+GAMMA = math.sqrt(5) * U * (1 + 16 * U)
 
 
 def gen_degrees(system: DynSystem, nmax: int) -> list[int]:
@@ -149,6 +155,13 @@ def _degree_to_kj(system: DynSystem, m: int) -> tuple[int, int]:
     return k, j
 
 
+def _wedge_terms(lifts):
+    """(x_j y_i, x_i y_j) for i < j: the wedge P_i ^ P_j is their difference."""
+    for j, (xj, yj) in enumerate(lifts):
+        for xi, yi in lifts[:j]:
+            yield xj * yi, xi * yj
+
+
 @dataclass
 class BasisFamily:
     """An ordered basis of degree-n forms with provenance."""
@@ -177,7 +190,7 @@ class BasisFamily:
         `det_fraction` on the evaluation rows."""
         if len(lifts) != self.cn or any(len(pt) != system.N + 1 for pt in lifts):
             raise DimensionMismatch(f"need {self.cn} lifts with {system.N + 1} coordinates")
-        if system.N != 1 or self.cn != self.n + 1:
+        if not system.is_p1:
             return det_fraction([self.row(system, pt) for pt in lifts])
         ints, scale = [], 1  # integer lifts and the product of their denominators
         for pt in lifts:
@@ -185,12 +198,32 @@ class BasisFamily:
             l = math.lcm(x.denominator, y.denominator)
             ints.append((x.numerator * (l // x.denominator), y.numerator * (l // y.denominator)))
             scale *= l
-        wedges = 1
-        for j, (xj, yj) in enumerate(ints):
-            for xi, yi in ints[:j]:
-                wedges *= xj * yi - xi * yj
+        wedges = math.prod(a - b for a, b in _wedge_terms(ints))
         # every point lies in n of the pairs
         return self._coeff_det * Fraction(wedges, scale**self.n)
+
+    def det_log(self, system: DynSystem, lifts):
+        """log|det| for numeric lifts on X = P^1 as a LogMag: log|det C| plus
+        the fsum of the wedge logs log|a - b|.  Each wedge is charged GAMMA
+        (|a| + |b|) for the products and 4u |a - b| for the subtraction (u),
+        the modulus (2u) and second-order terms, its log one ulp; barring
+        underflow this bounds the error.  MINUS_INFINITY when a wedge is not
+        certifiably nonzero."""
+        if not system.is_p1:
+            raise DomainError("numeric lifts need X = P^1")
+        if len(lifts) != self.cn or any(len(pt) != 2 for pt in lifts):
+            raise DimensionMismatch(f"need {self.cn} lifts with 2 coordinates")
+        logs, errs = [], []
+        for a, b in _wedge_terms([pt.lift for pt in lifts]):
+            w = abs(a - b)
+            bound = GAMMA * (abs(a) + abs(b)) + 4 * U * w
+            if bound >= w:
+                return MINUS_INFINITY
+            logs.append(math.log(w))
+            errs.append(math.ulp(logs[-1]) - math.log1p(-bound / w))
+        total = math.fsum(logs)
+        return abs_log(Place.archimedean(), self._coeff_det) + LogMag.of_float(
+            total, math.fsum(errs) + math.ulp(total))
 
     @cached_property
     def _coeff_det(self) -> Fraction:
@@ -223,17 +256,17 @@ def _monomial_elements(nvars: int, n: int) -> list[GenElement]:
     ]
 
 
-def _elements_for_j(system: DynSystem, n: int, j: int) -> list[GenElement]:
-    """All products with exactly j generator factors, in the documented
-    order: cofactor monomial first (by degree, then position in the
-    descending-lex listing of its degree), then factor triples."""
+def _elements_for_j(system: DynSystem, n: int, j: int):
+    """Lazily yield the products with exactly j generator factors, in the
+    documented order: cofactor monomial first (by degree, then position in
+    the descending-lex listing of its degree), then factor triples."""
     d, N = system.degree, system.N
     nvars = system.map.nvars
     degs = gen_degrees(system, n)
     if j == 0:
         if n < d * (N + 1):
-            return _monomial_elements(nvars, n)
-        return []
+            yield from _monomial_elements(nvars, n)
+        return
     out = []
 
     def multisets(start_idx, slots, remaining):
@@ -281,13 +314,11 @@ def _elements_for_j(system: DynSystem, n: int, j: int) -> list[GenElement]:
     order = {expo: r for deg in sorted({e[0] for e in out}) for r, expo in
              enumerate(monomials_of_degree(nvars, deg))}
     out.sort(key=lambda t: (t[0], order[t[1]], t[2]))
-    elements = []
     for eta_deg, eta, factors in out:
         form = HomoForm.monomial(nvars, eta)
         for i, k, jp in factors:
             form = form * (system.iterate(k).forms[i] ** jp)
-        elements.append(GenElement(eta, factors, form))
-    return elements
+        yield GenElement(eta, factors, form)
 
 
 def spanning_family(system: DynSystem, n: int):

@@ -304,7 +304,7 @@ def _cmd_fekete(args):
     arch = Place.archimedean()
     env = hadamard_envelope(system, args.n, julia_radius_log(system, arch), arch)
     basis = _select_basis(system, args.n, args.basis)
-    res = fekete_search(system, basis, args.n, args.budget, seed)
+    res = fekete_search(system, basis, args.budget, seed)
     _emit(
         {
             "kind": "fekete",
@@ -314,7 +314,7 @@ def _cmd_fekete(args):
             "seed": seed,
             "budget": args.budget,
             "evaluations": res.evaluations,
-            "witness_logd": res.witness.total(),
+            "witness_logd": None if res.witness is MINUS_INFINITY else res.witness.total(),
             "envelope_logd": env / (args.n * len(basis.elements)),
             "log_det": res.log_det,
             "tuple": [[repr(z) for z in pt.lift] for pt in res.lifts],

@@ -133,6 +133,11 @@ class DynSystem:
         return self.map.N
 
     @property
+    def is_p1(self) -> bool:
+        """X = P^1: one projective dimension and no hypersurface."""
+        return self.N == 1 and self.hypersurface is None
+
+    @property
     def macaulay_deg(self) -> int:
         return macaulay_degree(self.degree, self.N)
 

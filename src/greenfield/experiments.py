@@ -209,6 +209,12 @@ def roots_of_unity_tuple(count_pts: int) -> list[ProjPoint]:
     ]
 
 
+def _roots_on_x(system: DynSystem, count_pts: int) -> list[ProjPoint]:
+    if not system.is_p1:
+        raise PreconditionError("the roots-of-unity tuple needs X = P^1")
+    return roots_of_unity_tuple(count_pts)
+
+
 # ---------------------------------------------------------------------------
 # Adelic report (envelope vs witness, per place and degree)
 
@@ -299,7 +305,7 @@ def adelic_report(system: DynSystem, n_list, budget: int = 4000, seed: int = 7,
         for place in places:
             envs[repr(place)], wits[repr(place)], note = _place_bounds(
                 system, basis, place, tol,
-                lambda: fekete_search(system, basis, n, budget, seed).witness)
+                lambda: fekete_search(system, basis, budget, seed).witness)
             if note is not None:
                 notes[repr(place)] = note
         env_sum = math.fsum(envs.values())
@@ -333,7 +339,7 @@ def transfin_trend(system: DynSystem, n_list, places=None, tol: float = 1e-9):
                 continue
             row["envelope_logd"], row["witness_logd"], note = _place_bounds(
                 system, basis, place, tol,
-                lambda: dbn_witness(system, basis, roots_of_unity_tuple(c), place, tol))
+                lambda: dbn_witness(system, basis, _roots_on_x(system, c), place, tol))
             if note is not None:
                 row["witness_note"] = note
             rows.append(row)
@@ -348,16 +354,13 @@ def transfin_trend(system: DynSystem, n_list, places=None, tol: float = 1e-9):
 class MultiplesResult:
     indices: list[int]  # 1-based positions within the orbit
     determinant: Fraction
-    basis: BasisFamily
 
 
-def multiples_search(system: DynSystem, orbit: list[ProjPoint], n: int,
-                     basis: BasisFamily | None = None) -> MultiplesResult:
-    """Scan the orbit in order, keeping index k iff the evaluation row of
-    x(kP) enlarges the exact rank; returns the chosen c(n) indices and
+def multiples_search(system: DynSystem, orbit: list[ProjPoint], n: int) -> MultiplesResult:
+    """Scan the orbit in order, keeping index k iff the special basis's row
+    at x(kP) enlarges the exact rank; returns the chosen c(n) indices and
     the (nonzero) determinant of the selected square matrix."""
-    if basis is None:
-        basis = special_basis(system, n)
+    basis = special_basis(system, n)
     c = basis.cn
     pair = _first_repeat(orbit)
     if pair is not None:
@@ -374,7 +377,7 @@ def multiples_search(system: DynSystem, orbit: list[ProjPoint], n: int,
             det = basis.det(system, [orbit[i - 1] for i in indices])
             if det == 0:
                 raise InternalCheckError("selected rows are dependent despite rank check")
-            return MultiplesResult(indices, det, basis)
+            return MultiplesResult(indices, det)
     raise PreconditionError(
         f"rank {len(indices)} of {c} within the orbit bound {len(orbit)}: "
         "the orbit violates the search preconditions (torsion point?)"

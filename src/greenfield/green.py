@@ -4,7 +4,9 @@ diameter witnesses and envelopes, and the archimedean Fekete search.
 The transfinite diameter itself is a sup over all admissible tuples and
 is not computed: the module produces certified lower bounds (witnesses
 from explicit tuples) and certified upper bounds (a Hadamard envelope),
-and reports carry the pair.
+and reports carry the pair.  Determinants come from `BasisFamily.det`
+(exact lifts) and `det_log` (numeric lifts, X = P^1 only, with a derived
+error bound); numpy's `slogdet` is only the Fekete search objective.
 """
 
 import cmath
@@ -17,43 +19,25 @@ import numpy as np
 
 from .basis import BasisFamily, section_dim, t2_floor
 from .dynsys import DynSystem, Membership, escape_rate, julia_membership
-from .errors import DimensionMismatch, DomainError, PreconditionError
+from .errors import DomainError, PreconditionError
 from .homopoly import ProjPoint, evaluate
 from .macaulay import r_normalized
 from .pffield import (LogMag, MINUS_INFINITY, PLUS_INFINITY, Place, abs_log)
 
-# Numeric determinants with 2-norm condition beyond this are treated as
-# rank-deficient.
-NUMERIC_COND_LIMIT = 1e13
-
 
 def eval_det_log(system: DynSystem, basis: BasisFamily, lifts, place: Place):
-    """log|det(eta_j(P_i))|_v as a LogMag, exact when the lifts are exact;
-    MINUS_INFINITY when the matrix is exactly singular or numerically
-    rank-deficient beyond the condition threshold."""
-    c = len(basis.elements)
-    if len(lifts) != c:
-        raise DimensionMismatch(f"need {c} lifts, got {len(lifts)}")
+    """log|det(eta_j(P_i))|_v as a LogMag: `BasisFamily.det` for exact lifts,
+    `BasisFamily.det_log` (archimedean, X = P^1) for numeric ones, with its
+    derived error; MINUS_INFINITY on a zero or not certifiably nonzero det."""
     numeric_flags = {pt.numeric for pt in lifts}
     if len(numeric_flags) > 1:
         raise DomainError("mixed exact and numeric lifts")
-    numeric = numeric_flags.pop()
-    if numeric and not place.is_archimedean:
-        raise DomainError("numeric lifts are archimedean-only")
-    if not numeric:
-        det = basis.det(system, lifts)
-        return MINUS_INFINITY if det == 0 else abs_log(place, det)
-    if any(len(pt) != system.N + 1 for pt in lifts):
-        raise DimensionMismatch(f"lifts need {system.N + 1} coordinates")
-    m = np.array([basis.row(system, pt) for pt in lifts], dtype=complex)
-    sign, logabs = np.linalg.slogdet(m)
-    if sign == 0 or not np.isfinite(logabs):
-        return MINUS_INFINITY
-    cond = np.linalg.cond(m)
-    if not np.isfinite(cond) or cond > NUMERIC_COND_LIMIT:
-        return MINUS_INFINITY
-    err = c * np.finfo(float).eps * cond + 1e-15
-    return LogMag.of_float(float(logabs), float(err))
+    if True in numeric_flags:
+        if not place.is_archimedean:
+            raise DomainError("numeric lifts are archimedean-only")
+        return basis.det_log(system, lifts)
+    det = basis.det(system, lifts)
+    return MINUS_INFINITY if det == 0 else abs_log(place, det)
 
 
 def green_value(system: DynSystem, basis: BasisFamily, lifts, place: Place,
@@ -78,34 +62,20 @@ def green_value(system: DynSystem, basis: BasisFamily, lifts, place: Place,
     return acc
 
 
-def on_hypersurface(system: DynSystem, pt: ProjPoint, tol: float = 1e-9) -> bool:
-    g = system.hypersurface
-    if g is None:
-        return True
-    val = evaluate(g, pt)
-    if not pt.numeric:
-        return val == 0
-    scale = max(1.0, max(abs(x) for x in pt.lift) ** g.degree)
-    return abs(val) <= tol * scale
-
-
 def dbn_witness(system: DynSystem, basis: BasisFamily, lifts, place: Place,
                 tol: float = 1e-9):
-    """(1/(n c)) log|det| for an admissible tuple: a certified lower
-    bound for log d at the place.  Every lift must lie on X and must not
-    be certifiably outside the filled Julia set."""
-    c = len(basis.elements)
-    if len(lifts) != c:
-        raise DimensionMismatch(f"need {c} lifts, got {len(lifts)}")
+    """(1/(n c)) log|det| for an admissible tuple, a certified lower bound for
+    log d at the place.  Every lift must lie on X (exactly: numeric lifts
+    exist only on P^1) and not be certifiably outside the filled Julia set."""
+    det = eval_det_log(system, basis, lifts, place)
     for i, pt in enumerate(lifts):
         if julia_membership(system, place, pt, tol) is Membership.OUTSIDE:
             raise PreconditionError(f"lift {i} lies outside the filled Julia set")
-        if not on_hypersurface(system, pt, tol):
+        if system.hypersurface is not None and evaluate(system.hypersurface, pt) != 0:
             raise PreconditionError(f"lift {i} does not lie on the hypersurface")
-    det = eval_det_log(system, basis, lifts, place)
     if det is MINUS_INFINITY:
         return MINUS_INFINITY
-    return det.scale(Fraction(1, basis.n * c))
+    return det.scale(Fraction(1, basis.n * basis.cn))
 
 
 def julia_radius_log(system: DynSystem, place: Place) -> float:
@@ -141,34 +111,38 @@ def hadamard_envelope(system: DynSystem, n: int, R_log: float, place: Place) -> 
 class FeketeResult:
     angles: list[float]
     lifts: list[ProjPoint]
-    witness: LogMag
+    witness: LogMag  # or MINUS_INFINITY
     log_det: float
     evaluations: int
 
 
-def fekete_search(system: DynSystem, basis: BasisFamily, n: int, budget: int,
+def fekete_search(system: DynSystem, basis: BasisFamily, budget: int,
                   seed: int) -> FeketeResult:
     """Maximize the determinant witness over tuples on the standard
     real-angle chart (unit-circle points with lifts normalized to escape
     rate zero): greedy Leja initialization over a seeded candidate pool,
     then cyclic single-angle ascent with a shrinking probe window.
 
-    Deterministic given the seed; the best witness is nondecreasing in
-    the budget.  The result is a certified lower bound for log d at the
-    archimedean place, not a claim of optimality.
+    Deterministic given the seed; the best objective value is
+    nondecreasing in the budget.  The witness, (1/(n c)) log|det| of the
+    returned lifts through `eval_det_log`, is a certified lower bound for
+    log d at the archimedean place (MINUS_INFINITY if the determinant is
+    not certifiably nonzero), not a claim of optimality.  Its error also
+    carries where the lifts are: a lift with escape rate r > 0 lies off
+    K, and scaling it into K lowers the witness by r / c.  A lift is its
+    unit-circle point scaled by exp(-h), h its computed escape rate, so
+    |r| is at most that rate's error plus esc_tol for the scaling's rounding.
     """
-    if system.N != 1:
+    if not system.is_p1:
         raise PreconditionError("the angle chart needs X = P^1")
     if budget < 1:
         raise DomainError("budget must be positive")
-    if basis.n != n:
-        raise DimensionMismatch("basis degree disagrees with n")
-    c = len(basis.elements)
+    n, c = basis.n, basis.cn
     rng = random.Random(seed)
     arch = Place.archimedean()
     evals = 0
     esc_tol = 1e-12
-    row_cache: dict[float, tuple] = {}  # theta -> (row, lift with escape rate 0)
+    row_cache: dict[float, tuple] = {}  # theta -> (row, lift with escape rate 0, |rate| bound)
 
     def row_at(theta):
         nonlocal evals
@@ -176,9 +150,10 @@ def fekete_search(system: DynSystem, basis: BasisFamily, n: int, budget: int,
         if got is None:
             evals += 1
             pt = ProjPoint.of_numeric([cmath.exp(1j * theta), 1.0])
-            h = escape_rate(system, arch, pt, esc_tol).total()
+            rate = escape_rate(system, arch, pt, esc_tol)
+            h = rate.total()
             row = np.array(basis.row(system, pt), dtype=complex) * math.exp(-n * h)
-            got = row_cache[theta] = (row, pt.scaled(cmath.exp(-h)))
+            got = row_cache[theta] = (row, pt.scaled(cmath.exp(-h)), rate.arch_err + esc_tol)
         return got[0]
 
     def log_det_of(ths):
@@ -242,5 +217,9 @@ def fekete_search(system: DynSystem, basis: BasisFamily, n: int, budget: int,
             break  # every probe hit the cache; nothing new to evaluate
 
     lifts = [row_cache[th][1] for th in best_thetas]
-    witness = LogMag.of_float(best_val / (n * c), 1e-12 + abs(best_val) * 1e-14)
+    det = eval_det_log(system, basis, lifts, arch)
+    if det is MINUS_INFINITY:
+        return FeketeResult(best_thetas, lifts, MINUS_INFINITY, best_val, evals)
+    off_k = math.fsum(row_cache[th][2] for th in best_thetas) / c
+    witness = det.scale(Fraction(1, n * c)) + LogMag.of_float(0.0, off_k)
     return FeketeResult(best_thetas, lifts, witness, best_val, evals)

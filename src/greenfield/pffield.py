@@ -67,6 +67,23 @@ MINUS_INFINITY = _MinusInfinity()
 PLUS_INFINITY = _PlusInfinity()
 
 
+def _ord(n: int, p: int) -> int:
+    """ord_p of a nonzero integer, p odd: strip p^(2^k), k = 0, 1, ...,
+    while it divides, then those descending."""
+    if n % p:
+        return 0
+    v, powers = 0, [p]
+    while n % powers[-1] == 0:
+        n //= powers[-1]
+        v += 1 << (len(powers) - 1)
+        powers.append(powers[-1] ** 2)
+    for k in range(len(powers) - 2, -1, -1):
+        if n % powers[k] == 0:
+            n //= powers[k]
+            v += 1 << k
+    return v
+
+
 @dataclass(frozen=True)
 class Place:
     """A normalized absolute value on Q: archimedean or p-adic.
@@ -107,17 +124,18 @@ class Place:
         """ord_p(x) for nonzero rational x; undefined at the archimedean place."""
         if self.p is None:
             raise DomainError("archimedean place has no valuation")
-        x = Fraction(x)
+        if not isinstance(x, int):
+            x = Fraction(x)  # most of the cost of a call; an int needs none
         if x == 0:
             raise DomainError("valuation of zero")
-        v = 0
-        n, d = x.numerator, x.denominator
-        while n % self.p == 0:
-            n //= self.p
-            v += 1
-        while d % self.p == 0:
-            d //= self.p
-            v -= 1
+        p, n, d = self.p, x.numerator, x.denominator
+        if p == 2:
+            return (n & -n).bit_length() - (d & -d).bit_length()
+        v = 0  # ord 0 takes no call to _ord, ord 1 one that returns at its first test
+        if n % p == 0:
+            v += 1 + _ord(n // p, p)
+        if d % p == 0:
+            v -= 1 + _ord(d // p, p)
         return v
 
     def __repr__(self):

@@ -318,14 +318,14 @@ def test_criterion_07_fekete_search():
     pw = DynSystem(parse_map(["x0^2", "x1^2"]))
     for n, tol in ((2, 1e-6), (4, 1e-6), (8, 1e-6), (20, 1e-3)):
         basis = monomial_basis(1, n)
-        res = fekete_search(pw, basis, n, 20000, seed=7)
+        res = fekete_search(pw, basis, 20000, seed=7)
         target = math.log(n + 1) / (2 * n)
         if abs(res.witness.total() - target) > tol:
             problems.append(f"witness at n={n}: {res.witness.total()} vs {target}")
         if res.evaluations > 20000:
             problems.append(f"budget overrun at n={n}")
-    again = fekete_search(pw, monomial_basis(1, 4), 4, 20000, seed=7)
-    once = fekete_search(pw, monomial_basis(1, 4), 4, 20000, seed=7)
+    again = fekete_search(pw, monomial_basis(1, 4), 20000, seed=7)
+    once = fekete_search(pw, monomial_basis(1, 4), 20000, seed=7)
     if again.angles != once.angles or again.log_det != once.log_det:
         problems.append("search is not deterministic for a fixed seed")
     elapsed = time.time() - t0

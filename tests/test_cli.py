@@ -154,6 +154,10 @@ def test_exit_codes(capsys, tmp_path, power_cfg, half_cfg):
     wrong.write_text(json.dumps({"N": 1, "d": 2, "forms": ["x0^2", "x1^2"],
                                  "hypersurface": 7}))
     assert run(["resultant", str(wrong)]) == 2
+    # the angle chart's unit-circle points do not lie on a hypersurface
+    wrong.write_text(json.dumps({"N": 1, "d": 2, "forms": ["x0^2", "x1^2"],
+                                 "hypersurface": "x0 - x1"}))
+    assert run(["fekete", str(wrong), "--n", "2", "--budget", "50"]) == 1
     assert run(["selftest"]) == 2  # no such command
     assert run(["height", power_cfg, "--point", "0,0"]) == 1
     assert run(["escape", power_cfg, "--point", "1,1", "--place", "q=3"]) == 2

@@ -14,7 +14,7 @@ from greenfield.experiments import (EllipticCurve, LattesSystem, adelic_report,
                                     sample_julia_tuple, scale_into_julia,
                                     transfin_trend)
 from greenfield.green import dbn_witness, eval_det_log
-from greenfield.homopoly import ProjPoint, evaluate, form_str, parse_map
+from greenfield.homopoly import ProjPoint, evaluate, form_str, parse_form, parse_map
 from greenfield.linalg import det_fraction
 from greenfield.pffield import MINUS_INFINITY, Place, support
 
@@ -206,6 +206,22 @@ def test_adelic_report_half_map(half_map):
         for place, env in entry.envelopes.items():
             wit = entry.witnesses[place]
             assert wit is None or wit <= env + 1e-9
+
+
+def test_adelic_report_notes_a_hypersurface_on_p1():
+    # P^1 with a hypersurface: the angle chart's points are not on X
+    line = DynSystem(parse_map(["x0^2", "x1^2"]), parse_form("x0 - x1", 2))
+    for entry in adelic_report(line, [2, 3], budget=50).entries:
+        assert entry.witnesses["inf"] is None
+        assert entry.witness_notes["inf"] == "the angle chart needs X = P^1"
+
+
+def test_transfin_trend_notes_the_roots_of_unity_off_p1(power_map_p2):
+    conic = DynSystem(parse_map(["x0^2", "x1^2", "x2^2"]), parse_form("x0*x2 - x1^2", 3))
+    for system in (power_map_p2, conic):
+        (row,) = transfin_trend(system, [2], places=[ARCH])
+        assert row["envelope_logd"] is not None and row["witness_logd"] is None
+        assert row["witness_note"] == "the roots-of-unity tuple needs X = P^1"
 
 
 def test_grid_exhaustion_is_a_witness_note(half_map, monkeypatch):

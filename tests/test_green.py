@@ -3,16 +3,18 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from greenfield.basis import monomial_basis, special_basis
-from greenfield.dynsys import DynSystem
+from greenfield.dynsys import DynSystem, escape_rate
 from greenfield.errors import DimensionMismatch, DomainError, PreconditionError
+from greenfield.experiments import roots_of_unity_tuple
 from greenfield.green import (dbn_witness, eval_det_log, fekete_search,
                               green_value, hadamard_envelope, julia_radius_log)
-from greenfield.homopoly import ProjPoint, parse_form, parse_map
+from greenfield.homopoly import HomoForm, PolyMap, ProjPoint, parse_form, parse_map
 from greenfield.linalg import det_fraction
 from greenfield.macaulay import r_normalized
 from greenfield.pffield import (MINUS_INFINITY, PLUS_INFINITY, Place, abs_log,
@@ -57,6 +59,82 @@ def test_numeric_eval_det_flags_rank_deficiency(power_map):
                        [ProjPoint.of_numeric([1.0, 1.0]),
                         ProjPoint.of_numeric([1.0, 1.0])], ARCH)
     assert res is MINUS_INFINITY
+
+
+def test_numeric_lifts_need_p1(power_map_p2):
+    with pytest.raises(DomainError, match="P\\^1"):
+        eval_det_log(power_map_p2, monomial_basis(2, 1),
+                     [ProjPoint.of_numeric([1, 0, 0]), ProjPoint.of_numeric([0, 1, 0]),
+                      ProjPoint.of_numeric([0, 0, 1])], ARCH)
+    line = DynSystem(parse_map(["x0^2", "x1^2"]), parse_form("x0 - x1", 2))
+    fam = special_basis(line, 2)
+    with pytest.raises(DomainError, match="P\\^1"):
+        eval_det_log(line, fam, [ProjPoint.of_numeric([1, 1])] * fam.cn, ARCH)
+
+
+def _mp_det_rows(basis, lifts):
+    """The evaluation rows (eta_j(P_i)) at the binary64 lifts, from the
+    expanded forms, in mpmath at the working precision."""
+    coeffs = [[(a, mpmath.mpf(c.numerator) / c.denominator)
+               for (a, _b), c in el.expanded.coeffs.items()] for el in basis.elements]
+    rows = []
+    for pt in lifts:
+        x, y = (mpmath.mpc(z) for z in pt.lift)
+        powers = [x**a * y**(basis.n - a) for a in range(basis.n + 1)]
+        rows.append([mpmath.fsum(c * powers[a] for a, c in terms) for terms in coeffs])
+    return rows
+
+
+@settings(max_examples=60)
+@given(c=st.fractions(-3, 3, max_denominator=6), n=st.integers(1, 12),
+       special=st.booleans(), data=st.data())
+def test_numeric_det_log_within_its_bound_of_a_60_digit_determinant(c, n, special, data):
+    # the float wedge path against mpmath's determinant of the evaluation
+    # rows; one pair of points is near-coincident, down to 1e-15 rad
+    system = DynSystem(PolyMap([HomoForm(2, 2, {(2, 0): 1, (0, 2): c}),
+                                HomoForm(2, 2, {(0, 2): 1})]))
+    basis = special_basis(system, n) if special else monomial_basis(1, n)
+    angle = st.floats(0.0, 2 * math.pi)
+    thetas = data.draw(st.lists(angle, min_size=n + 1, max_size=n + 1))
+    i, j = data.draw(st.integers(0, n)), data.draw(st.integers(0, n))
+    if i != j:
+        thetas[j] = thetas[i] + 10.0 ** data.draw(st.integers(-15, -3))
+    scales = data.draw(st.lists(st.tuples(st.floats(0.5, 2.0), angle),
+                                min_size=n + 1, max_size=n + 1))
+    lifts = [ProjPoint.of_numeric([cmath.exp(1j * th), 1.0]).scaled(cmath.rect(r, ph))
+             for th, (r, ph) in zip(thetas, scales)]
+    got = eval_det_log(system, basis, lifts, ARCH)
+    with mpmath.workdps(60):
+        if got is MINUS_INFINITY:
+            # only a pair that floats cannot separate loses the witness
+            wedges = [abs(mpmath.mpc(xj) * yi - mpmath.mpc(xi) * yj) / (abs(xi) * abs(yj))
+                      for a, (xj, yj) in enumerate(pt.lift for pt in lifts)
+                      for xi, yi in (pt.lift for pt in lifts[:a])]
+            assert min(wedges) < 1e-14
+            return
+        true = mpmath.log(abs(mpmath.det(mpmath.matrix(_mp_det_rows(basis, lifts)))))
+        assert abs(mpmath.mpf(got.arch) - true) <= got.arch_err
+
+
+@pytest.mark.parametrize("forms,n", [
+    (["x0^3 - 5/3*x0*x1^2 + 2*x1^3", "7*x1^3"], 36),
+    (["x0^2 - 7/6*x1^2", "x1^2"], 64),
+    (["x0^2 + 1/2*x1^2", "x1^2"], 64),
+])
+def test_roots_of_unity_witness_is_det_c_times_c_to_the_c_half(forms, n):
+    # prod_{i<j} |z_j - z_i| = c^(c/2) over the c-th roots of unity; the
+    # first two lost their witness to a condition-number cutoff, and the
+    # half map's slogdet error estimate was 0.031
+    system = DynSystem(parse_map(forms))
+    basis = special_basis(system, n)
+    c = basis.cn
+    got = eval_det_log(system, basis, roots_of_unity_tuple(c), ARCH)
+    assert got is not MINUS_INFINITY and got.arch_err <= 1e-9
+    coeff_det = abs(basis._coeff_det)
+    with mpmath.workdps(40):
+        want = (mpmath.log(coeff_det.numerator) - mpmath.log(coeff_det.denominator)
+                + mpmath.mpf(c) / 2 * mpmath.log(c))
+        assert abs(mpmath.mpf(got.arch) - want) <= got.arch_err
 
 
 def test_green_value_examples(power_map):
@@ -224,28 +302,48 @@ def test_fekete_small_n_against_grid_oracle(power_map):
         det = abs(cmath.exp(1j * th) - 1.0)
         if det > 0:
             best = max(best, math.log(det) / 2)
-    res = fekete_search(power_map, mb1, 1, 4000, seed=11)
+    res = fekete_search(power_map, mb1, 4000, seed=11)
     assert res.witness.total() >= best - 1e-6
     assert res.witness.total() == pytest.approx(0.5 * math.log(2), abs=1e-9)
 
     mb2 = monomial_basis(1, 2)
-    res = fekete_search(power_map, mb2, 2, 6000, seed=11)
+    res = fekete_search(power_map, mb2, 6000, seed=11)
     assert res.witness.total() == pytest.approx(0.25 * math.log(3), abs=1e-6)
 
 
 def test_fekete_deterministic_and_monotone(power_map):
     mb = monomial_basis(1, 4)
-    a = fekete_search(power_map, mb, 4, 3000, seed=5)
-    b = fekete_search(power_map, mb, 4, 3000, seed=5)
+    a = fekete_search(power_map, mb, 3000, seed=5)
+    b = fekete_search(power_map, mb, 3000, seed=5)
     assert a.angles == b.angles and a.log_det == b.log_det
-    small = fekete_search(power_map, mb, 4, 800, seed=5)
+    small = fekete_search(power_map, mb, 800, seed=5)
     assert a.witness.total() >= small.witness.total() - 1e-15
+
+
+def test_fekete_witness_is_certified_from_its_lifts(half_map):
+    basis = special_basis(half_map, 8)
+    n, c = 8, basis.cn
+    res = fekete_search(half_map, basis, 600, seed=7)
+    det = eval_det_log(half_map, basis, res.lifts, ARCH).scale(Fraction(1, n * c))
+    assert res.witness.total() == det.total()
+    assert res.witness.total() == pytest.approx(res.log_det / (n * c), abs=1e-12)
+    # scaled by e^(-r), r the upper end of its escape rate, each lift lies in
+    # K; the witness's lower end must not exceed theirs
+    ups = [max(0.0, r.total() + r.arch_err)
+           for r in (escape_rate(half_map, ARCH, pt, 1e-12) for pt in res.lifts)]
+    inside = eval_det_log(half_map, basis, [pt.scaled(math.exp(-r)) for pt, r in
+                                            zip(res.lifts, ups)], ARCH).scale(Fraction(1, n * c))
+    assert res.witness.total() - res.witness.arch_err <= inside.total()
+    # each lift is charged its search-time escape rate's error (about
+    # 1.05e-12 here) plus the search's escape tol, 1e-12, for the rounding
+    # of the scaling
+    assert res.witness.arch_err < 2.5e-12
 
 
 def test_fekete_needs_p1_without_chart(power_map_p2):
     from greenfield.basis import monomial_basis as mb
     with pytest.raises(PreconditionError):
-        fekete_search(power_map_p2, mb(2, 2), 2, 100, seed=1)
+        fekete_search(power_map_p2, mb(2, 2), 100, seed=1)
 
 
 ELKIES_MAPS = {

@@ -8,6 +8,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from greenfield.basis import monomial_basis
 from greenfield.dynsys import DynSystem, escape_rate
@@ -33,6 +35,17 @@ def _oracle_valuation(x, p):
         d //= p
         v -= 1
     return v
+
+
+@settings(max_examples=40)
+@given(p=st.sampled_from([2, 3, 5, 1223]), v=st.integers(0, 4000), w=st.integers(0, 4000),
+       a=st.integers(-10**30, 10**30).filter(bool), b=st.integers(1, 10**30))
+def test_valuation_against_the_oracle(p, v, w, a, b):
+    # valuations in the thousands, where stripping one p at a time is slow
+    x = Fraction(a * p**v, b * p**w)
+    assert Place.prime(p).valuation(x) == _oracle_valuation(x, p)
+    # an int takes its own path, without a Fraction
+    assert Place.prime(p).valuation(a * p**v) == _oracle_valuation(Fraction(a * p**v), p)
 
 
 def test_padic_escape_vs_bruteforce_orbit():

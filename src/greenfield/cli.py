@@ -395,7 +395,10 @@ def _cmd_multiples(args):
 
 def _cmd_lehmer(args):
     lattes = _curve_and_point(args)
-    table = lehmer_scan(lattes, _parse_int_list(args.depths), args.tol)
+    depths = _parse_int_list(args.depths)
+    if not depths:
+        raise errors.InputError(f"empty depth list {args.depths!r}")
+    table = lehmer_scan(lattes, depths, args.tol)
     _emit(table.to_dict(), args.out)
     if args.csv:
         _write_csv(args.csv, table.to_dict()["rows"])

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import count, product
 
-from sympy import Poly, Symbol, factor_list
+from sympy.polys.domains import ZZ
+from sympy.polys.factortools import dup_factor_list
 
 from .basis import BasisFamily, special_basis
 from .dynsys import DynSystem, escape_rate
@@ -434,21 +435,38 @@ class LehmerTable:
 
 def _preimage_factors(lattes: LattesSystem, depth: int):
     """Irreducible factors over Q of the depth-k preimage equation
-    f^k(z) = x(P)."""
+    f^k(z) = x(P), as (coefficients, multiplicity) pairs. Each factor is
+    a primitive integer polynomial with a positive leading coefficient,
+    its coefficients listed from the highest degree down."""
     x0 = lattes.base_point[0]
     p0, q0 = x0.numerator, x0.denominator
     fk = lattes.system.iterate(depth)
     form = fk.forms[0].scale(q0) - fk.forms[1].scale(p0)
-    z = Symbol("z")
-    coeffs = {}
     deg = form.degree
+    poly = [Fraction(0)] * (deg + 1)
     for (i, _j), cval in form.coeffs.items():
-        coeffs[z**i] = cval
-    poly = Poly(sum(c * mono for mono, c in coeffs.items()), z, domain="QQ")
-    if poly.degree() != deg:
+        poly[deg - i] = cval
+    if poly[0] == 0:
         raise InternalCheckError("preimage polynomial dropped degree")
-    _const, factors = factor_list(poly)
-    return [(Poly(f, z, domain="QQ"), mult) for f, mult in factors]
+    den = math.lcm(*(c.denominator for c in poly))
+    ints = [ZZ(c.numerator * (den // c.denominator)) for c in poly]
+    _const, factors = dup_factor_list(ints, ZZ)
+    return factors
+
+
+def _poly_str(coeffs) -> str:
+    """A primitive integer polynomial in z, coefficients from the highest
+    degree down, printed as sympy prints it: "3*z**2 - z + 7"."""
+    if coeffs[0] <= 0 or math.gcd(*coeffs) != 1:
+        raise InternalCheckError(f"not primitive with a positive leading coefficient: {coeffs}")
+    terms = []
+    for e, c in zip(range(len(coeffs) - 1, -1, -1), coeffs):
+        if c == 0:
+            continue
+        mono = "" if e == 0 else "z" if e == 1 else f"z**{e}"
+        body = f"{abs(c)}*{mono}" if mono and abs(c) != 1 else mono or str(abs(c))
+        terms.append(("- " if c < 0 else "+ ") + body)
+    return " ".join(terms)[2:]  # the leading term is positive: drop its "+ "
 
 
 def lehmer_scan(lattes: LattesSystem, depth_list, tol: float = 1e-9) -> LehmerTable:
@@ -457,6 +475,9 @@ def lehmer_scan(lattes: LattesSystem, depth_list, tol: float = 1e-9) -> LehmerTa
     functional equation) and the shape value h * D^5 * log(max(D,2))^2.
     The minimum shape is reported as an empirical constant; nothing is
     proved, rows can only falsify."""
+    for depth in depth_list:
+        if depth < 0 or depth > MAX_LEHMER_DEPTH:
+            raise DomainError(f"depth {depth} outside [0, {MAX_LEHMER_DEPTH}]")
     sys0 = lattes.system
     h0 = canonical_height(sys0, ProjPoint.exact([lattes.base_point[0], 1]), tol)
     if h0.value - h0.error <= tol:
@@ -466,8 +487,6 @@ def lehmer_scan(lattes: LattesSystem, depth_list, tol: float = 1e-9) -> LehmerTa
 
     rows = []
     for depth in depth_list:
-        if depth < 0 or depth > MAX_LEHMER_DEPTH:
-            raise DomainError(f"depth {depth} outside [0, {MAX_LEHMER_DEPTH}]")
         scale = 4**depth
         h = h0.value / scale
         herr = h0.error / scale
@@ -476,8 +495,8 @@ def lehmer_scan(lattes: LattesSystem, depth_list, tol: float = 1e-9) -> LehmerTa
             rows.append(LehmerRow(0, 1, 1, 1, h, herr, shape, "z - x(P)"))
             continue
         for poly, mult in _preimage_factors(lattes, depth):
-            D = poly.degree()
+            D = len(poly) - 1
             shape = h * D**5 * math.log(max(D, 2)) ** 2
-            rows.append(LehmerRow(depth, D, D, mult, h, herr, shape, str(poly.as_expr())))
+            rows.append(LehmerRow(depth, D, D, mult, h, herr, shape, _poly_str(poly)))
     min_shape = min((r.shape for r in rows), default=math.inf)
     return LehmerTable(h0, rows, min_shape)

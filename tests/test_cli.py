@@ -176,6 +176,9 @@ def test_exit_codes(capsys, tmp_path, power_cfg, half_cfg):
     assert run(["resultant", str(latin1)]) == 2
     assert run(["multiples", "--curve", "0,-2", "--point", "3", "--n", "2"]) == 2
     assert run(["lehmer-scan", "--curve", "0", "--point", "3,5"]) == 2
+    for depths in (",", ""):  # an empty table has no minimum shape
+        assert run(["lehmer-scan", "--curve", "0,-2", "--point", "3,5",
+                    f"--depths={depths}"]) == 2
     # a coefficient that complex() rounds to 0.0 fails an internal check
     tiny = tmp_path / "tiny.json"
     tiny.write_text(json.dumps({"N": 1, "d": 2,
@@ -374,7 +377,7 @@ _GRAMMAR = {
     "multiples": [("--curve", _CURVE, "usually"), ("--point", _CURVE_POINT, "usually"),
                   ("--n", _N, "usually")],
     "lehmer-scan": [("--curve", _CURVE, "usually"), ("--point", _CURVE_POINT, "usually"),
-                    ("--depths", (["0", "0,1", "1"], ["4", "-1", "x"]), "maybe"),
+                    ("--depths", (["0", "0,1", "1"], ["4", "-1", "x", ",", ""]), "maybe"),
                     ("--tol", _TOLS, "maybe")],
     "selftest": [],
     "nonsense": [],
@@ -404,6 +407,10 @@ def _argvs(draw, system_path, missing_path):
     return argv
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 @pytest.fixture(scope="module")
 def fuzz_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
@@ -418,9 +425,13 @@ def test_cli_fuzz_exit_codes(fuzz_dir):
     def check(text, argv):
         with open(system_path, "w") as fh:
             fh.write(text)
-        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        out = io.StringIO()
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
             code = run(argv)
         assert code in (0, 1, 2), (text, argv)
+        # every command but resultant prints strict JSON: no NaN or Infinity
+        if code == 0 and argv[0] != "resultant":
+            json.loads(out.getvalue(), parse_constant=_reject_constant)
 
     check()
 

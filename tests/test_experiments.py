@@ -3,6 +3,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from sympy import Poly, Symbol, factor_list
 
 from greenfield.basis import monomial_basis, section_dim
 from greenfield.dynsys import DynSystem
@@ -325,9 +328,64 @@ def test_lehmer_scan(mordell_lattes):
     assert table.min_shape > 0
 
 
-def test_lehmer_scan_depth_guard(mordell_lattes):
-    with pytest.raises(DomainError):
-        lehmer_scan(mordell_lattes, [4], tol=1e-9)
+def test_lehmer_scan_depth_guard(mordell_lattes, monkeypatch):
+    # every depth is checked before any height or factorization work
+    def no_work(*_args):
+        raise AssertionError("work done before the depths were checked")
+
+    monkeypatch.setattr(experiments, "canonical_height", no_work)
+    monkeypatch.setattr(experiments, "_preimage_factors", no_work)
+    for depths in ([4], [0, 1, 2, 4], [-1, 1]):
+        with pytest.raises(DomainError, match=r"outside \[0, 3\]"):
+            lehmer_scan(mordell_lattes, depths, tol=1e-9)
+
+
+Z = Symbol("z")
+
+
+@settings(max_examples=300)
+@given(st.lists(st.one_of(st.sampled_from([0, 1, -1]), st.integers(-10**50, 10**50)),
+                min_size=1, max_size=21))
+def test_poly_str_prints_as_sympy(coeffs):
+    if coeffs[0] == 0:
+        coeffs[0] = 1
+    g = math.gcd(*coeffs) * (1 if coeffs[0] > 0 else -1)
+    coeffs = [c // g for c in coeffs]
+    assert experiments._poly_str(coeffs) == str(Poly(coeffs, Z).as_expr())
+
+
+def test_poly_str_takes_only_primitive_polynomials_led_by_a_positive_coefficient():
+    # sympy prints -z + 5 as "5 - z"; the formatter does not copy that
+    for coeffs in ([-1, 5], [2, 4], [0, 1], [-3]):
+        with pytest.raises(InternalCheckError):
+            experiments._poly_str(coeffs)
+
+
+def _sympy_preimage_factors(lattes, depth):
+    """The factorization over QQ through sympy's expression layer."""
+    x0 = lattes.base_point[0]
+    fk = lattes.system.iterate(depth)
+    form = fk.forms[0].scale(x0.denominator) - fk.forms[1].scale(x0.numerator)
+    poly = Poly(sum(c * Z**i for (i, _j), c in form.coeffs.items()), Z, domain="QQ")
+    _const, factors = factor_list(poly)
+    return [(str(Poly(f, Z, domain="QQ").as_expr()), mult) for f, mult in factors]
+
+
+@settings(max_examples=25)
+@given(st.integers(-4, 4), st.integers(-6, 6), st.sampled_from([1, 4]),
+       st.integers(-6, 6), st.sampled_from([1, 8]))
+@example(0, 3, 1, 5, 1)  # y^2 = x^3 - 2, P = (3, 5): the golden curve
+def test_preimage_factors_match_sympy_over_qq(a, x_num, x_den, y_num, y_den):
+    x0, y0 = Fraction(x_num, x_den), Fraction(y_num, y_den)
+    b = y0**2 - x0**3 - a * x0
+    try:
+        lattes = LattesSystem(EllipticCurve(Fraction(a), b), (x0, y0))
+    except DomainError:  # a singular curve
+        return
+    for depth in (1, 2):
+        ours = [(experiments._poly_str(f), mult)
+                for f, mult in experiments._preimage_factors(lattes, depth)]
+        assert ours == _sympy_preimage_factors(lattes, depth)
 
 
 def test_lehmer_scan_rejects_torsion():

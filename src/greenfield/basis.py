@@ -225,6 +225,33 @@ class BasisFamily:
         return abs_log(Place.archimedean(), self._coeff_det) + LogMag.of_float(
             total, math.fsum(errs) + math.ulp(total))
 
+    def spanning_prefix(self, system: DynSystem, lifts):
+        """Greedily yield (position, lift) for each exact lift whose
+        evaluation row is independent of the rows kept before it, stopping
+        right after the c(n)-th without pulling another lift.
+
+        On X = P^1 a lift is kept iff it is projectively new: by `det`,
+        det(eta_j(P_i)) = det(C) * prod_{i<j} (x_j y_i - x_i y_j) with
+        det(C) != 0, so rows are independent iff their points are
+        distinct, and no row is evaluated.  Every other X ranks the
+        evaluation rows exactly."""
+        p1 = system.is_p1
+        seen = set()  # on P^1: the keys of the kept points
+        tracker = IncrementalRank(self.cn)  # elsewhere: the kept rows
+        kept = 0
+        for pos, pt in enumerate(lifts):
+            if p1:
+                key = pt.key()
+                if key in seen:
+                    continue
+                seen.add(key)
+            elif not tracker.add(self.row(system, pt)):
+                continue
+            yield pos, pt
+            kept += 1
+            if kept == self.cn:
+                return
+
     @cached_property
     def _coeff_det(self) -> Fraction:
         """det(C) on P^1, C[a][j] the coefficient of x0^a x1^(n-a) in eta_j."""
@@ -238,6 +265,8 @@ class BasisFamily:
 
 def section_dim(system: DynSystem | None, n: int, N: int | None = None) -> int:
     """c(n): dimension of degree-n forms modulo the hypersurface ideal."""
+    if n < 1:
+        raise DomainError("need n >= 1")
     if system is not None:
         N = system.N
         g = system.hypersurface

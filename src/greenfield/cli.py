@@ -136,11 +136,15 @@ def _parse_point(text: str) -> ProjPoint:
     return ProjPoint.exact(coords)
 
 
-def _parse_int_list(text: str) -> list[int]:
+def _parse_int_list(text: str, name: str) -> list[int]:
+    """A nonempty comma-separated list of integers; empty items are skipped."""
     try:
-        return [int(t) for t in text.split(",") if t.strip()]
+        out = [int(t) for t in text.split(",") if t.strip()]
     except ValueError as exc:
-        raise errors.InputError(f"bad integer list {text!r}: {exc}")
+        raise errors.InputError(f"bad {name} list {text!r}: {exc}")
+    if not out:
+        raise errors.InputError(f"empty {name} list {text!r}")
+    return out
 
 
 def _logmag_json(mag) -> dict:
@@ -329,7 +333,7 @@ def _cmd_adelic(args):
     system = cfg.build()
     tol = args.tol if args.tol is not None else cfg.tol
     seed = args.seed if args.seed is not None else cfg.seed
-    report = adelic_report(system, _parse_int_list(args.n), args.budget, seed, tol)
+    report = adelic_report(system, _parse_int_list(args.n, "degree"), args.budget, seed, tol)
     payload = report.to_dict()
     _emit(payload, args.out)
     if args.csv:
@@ -395,10 +399,7 @@ def _cmd_multiples(args):
 
 def _cmd_lehmer(args):
     lattes = _curve_and_point(args)
-    depths = _parse_int_list(args.depths)
-    if not depths:
-        raise errors.InputError(f"empty depth list {args.depths!r}")
-    table = lehmer_scan(lattes, depths, args.tol)
+    table = lehmer_scan(lattes, _parse_int_list(args.depths, "depth"), args.tol)
     _emit(table.to_dict(), args.out)
     if args.csv:
         _write_csv(args.csv, table.to_dict()["rows"])

@@ -12,7 +12,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import count, product
+from itertools import count, islice, product
 
 from sympy.polys.domains import ZZ
 from sympy.polys.factortools import dup_factor_list
@@ -23,7 +23,6 @@ from .errors import DomainError, InternalCheckError, PreconditionError, Resource
 from .green import dbn_witness, fekete_search, hadamard_envelope, julia_radius_log
 from .heights import HeightValue, canonical_height, contributing_places
 from .homopoly import HomoForm, PolyMap, ProjPoint
-from .linalg import IncrementalRank
 from .pffield import MINUS_INFINITY, Place
 
 
@@ -185,20 +184,11 @@ def sample_julia_tuple(system: DynSystem, basis: BasisFamily, place: Place,
     (grid points need not lie on X otherwise)."""
     if system.hypersurface is not None:
         raise PreconditionError("exact tuple sampling needs X = P^N")
-    c = len(basis.elements)
-    tracker = IncrementalRank(c)
-    chosen = []
-    tried = 0
-    for cand in _grid_lifts(system.map.nvars):
-        if tried >= MAX_GRID_TRIES:
-            break
-        tried += 1
-        lift = scale_into_julia(system, place, cand, tol)
-        if not tracker.add(basis.row(system, lift)):
-            continue
-        chosen.append(lift)
-        if len(chosen) == c:
-            return chosen
+    lifts = (scale_into_julia(system, place, cand, tol)
+             for cand in islice(_grid_lifts(system.map.nvars), MAX_GRID_TRIES))
+    chosen = [lift for _, lift in basis.spanning_prefix(system, lifts)]
+    if len(chosen) == basis.cn:
+        return chosen
     raise ResourceLimit(f"no admissible nonsingular tuple within {MAX_GRID_TRIES} grid points")
 
 
@@ -359,8 +349,11 @@ class MultiplesResult:
 
 def multiples_search(system: DynSystem, orbit: list[ProjPoint], n: int) -> MultiplesResult:
     """Scan the orbit in order, keeping index k iff the special basis's row
-    at x(kP) enlarges the exact rank; returns the chosen c(n) indices and
-    the (nonzero) determinant of the selected square matrix."""
+    at x(kP) is independent of the rows kept before it
+    (`BasisFamily.spanning_prefix`); returns the chosen c(n) indices and
+    the determinant of the selected square matrix, whose being nonzero
+    certifies the selection.  The orbit must be free of repeats, so on
+    X = P^1 the indices are 1..c(n) and no basis row is evaluated."""
     basis = special_basis(system, n)
     c = basis.cn
     pair = _first_repeat(orbit)
@@ -368,17 +361,13 @@ def multiples_search(system: DynSystem, orbit: list[ProjPoint], n: int) -> Multi
         raise PreconditionError(
             f"orbit entries {pair[0] + 1} and {pair[1] + 1} are projectively equal"
         )
-    tracker = IncrementalRank(c)
-    indices = []
-    for k, lift in enumerate(orbit, start=1):
-        if not tracker.add(basis.row(system, lift)):
-            continue
-        indices.append(k)
-        if len(indices) == c:
-            det = basis.det(system, [orbit[i - 1] for i in indices])
-            if det == 0:
-                raise InternalCheckError("selected rows are dependent despite rank check")
-            return MultiplesResult(indices, det)
+    picked = list(basis.spanning_prefix(system, orbit))
+    indices = [k + 1 for k, _ in picked]
+    if len(indices) == c:
+        det = basis.det(system, [lift for _, lift in picked])
+        if det == 0:
+            raise InternalCheckError("selected rows are dependent despite rank check")
+        return MultiplesResult(indices, det)
     raise PreconditionError(
         f"rank {len(indices)} of {c} within the orbit bound {len(orbit)}: "
         "the orbit violates the search preconditions (torsion point?)"

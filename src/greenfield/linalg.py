@@ -3,9 +3,8 @@ Bareiss determinant and one Gauss-Jordan elimination, the incremental
 reduced row echelon form of `IncrementalRank`, which the echelon solve
 reads.
 
-Everything here is deterministic and exact.  The one shortcut, the
-rank screen modulo a prime in `IncrementalRank`, certifies what it
-decides.  Matrices are lists of lists (row-major).
+Everything here is deterministic and exact.  Matrices are lists of
+lists (row-major).
 """
 
 import math
@@ -151,90 +150,26 @@ def solve_preferring_early_columns(rows, rhs):
     return sols[0] if single else sols
 
 
-MODULUS = (1 << 61) - 1  # the screen's prime q
-
-
 class IncrementalRank:
     """Greedy exact rank tracker: feed rational vectors one at a time
-    and learn whether each one enlarges the span.
-
-    A screen keeps the reduced row echelon form mod q = 2^61 - 1 of the
-    accepted vectors, which stay independent mod q.  A vector whose
-    residue is independent of it is accepted with no exact work: a
-    maximal minor nonzero mod q is nonzero over Q.  Every other add (a
-    residue in the span, or a denominator divisible by q) is decided by
-    the exact echelon form, built from the accepted vectors in insertion
-    order only when needed.  A vector accepted there adds no independent
-    residue, so the screen is off from then on.  `exact_adds` counts the
-    adds the screen could not decide.
-    """
+    and learn whether each one enlarges the span.  It keeps the reduced
+    row echelon form of the accepted vectors, as {pivot column: row}."""
 
     def __init__(self, dim: int):
         self.dim = dim
-        self.exact_adds = 0
-        self._mod = {}  # pivot column -> its row mod q, or None once the screen is off
-        self._exact = {}  # pivot column -> its row of the exact echelon form
-        self._pending = []  # vectors accepted by the screen, not yet in _exact
+        self.rows = {}
 
     @property
     def rank(self) -> int:
-        return len(self._exact) + len(self._pending)
-
-    @property
-    def rows(self) -> dict:
-        """The exact reduced row echelon form of the accepted vectors,
-        as {pivot column: row}."""
-        self._absorb_pending()
-        return self._exact
+        return len(self.rows)
 
     def add(self, vec) -> bool:
-        """Insert the vector; returns whether it increased the rank."""
+        """Reduce the vector against the echelon form and insert it if it
+        is independent; returns whether it increased the rank."""
         v = [Fraction(x) for x in vec]
         if len(v) != self.dim:
             raise DimensionMismatch("vector dimension mismatch")
-        if self._mod is not None and self._screen(v):
-            self._pending.append(v)
-            return True
-        self.exact_adds += 1
-        self._absorb_pending()
-        if not self._eliminate(v):
-            return False
-        self._mod = None
-        return True
-
-    def _absorb_pending(self):
-        """Bring the exact echelon form up to date, in insertion order."""
-        for v in self._pending:
-            if not self._eliminate(v):
-                raise InternalCheckError("modular certificate contradicted by exact rank")
-        self._pending = []
-
-    def _screen(self, v) -> bool:
-        """Reduce v mod q against the modular echelon form; if the
-        residue is independent, insert it and return True."""
-        if any(x.denominator % MODULUS == 0 for x in v):
-            return False
-        w = [x.numerator * pow(x.denominator, -1, MODULUS) % MODULUS for x in v]
-        for piv, row in self._mod.items():
-            c = w[piv]
-            if c:
-                w = [(a - c * b) % MODULUS for a, b in zip(w, row)]
-        piv = next((j for j, x in enumerate(w) if x), None)
-        if piv is None:
-            return False
-        inv = pow(w[piv], -1, MODULUS)
-        w = [x * inv % MODULUS for x in w]
-        for p, row in self._mod.items():
-            c = row[piv]
-            if c:
-                self._mod[p] = [(a - c * b) % MODULUS for a, b in zip(row, w)]
-        self._mod[piv] = w
-        return True
-
-    def _eliminate(self, v) -> bool:
-        """Reduce v over Q against the exact echelon form; if it is
-        independent, insert it and return True."""
-        for piv, row in self._exact.items():
+        for piv, row in self.rows.items():
             c = v[piv]
             if c:
                 for j in range(piv, self.dim):
@@ -245,13 +180,13 @@ class IncrementalRank:
             return False
         inv = 1 / v[piv]
         v = [x * inv for x in v]
-        for row in self._exact.values():
+        for row in self.rows.values():
             c = row[piv]
             if c:
                 for j in range(piv, self.dim):
                     if v[j]:
                         row[j] -= c * v[j]
-        if piv in self._exact:
+        if piv in self.rows:
             raise InternalCheckError("duplicate pivot")
-        self._exact[piv] = v
+        self.rows[piv] = v
         return True

@@ -2,6 +2,7 @@ import cmath
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import assume, given, settings
@@ -228,3 +229,55 @@ def test_evaluation_det_falls_back_to_bareiss_off_p1(case):
         got = fam.det(system, lifts)
     assert seen == [rows]
     assert got == det_fraction(rows)
+
+
+@lru_cache(maxsize=None)
+def _selection_system(name):
+    forms = {"power": ["x0^2", "x1^2"], "half": ["x0^2 + 1/2*x1^2", "x1^2"],
+             "power_p2": ["x0^2", "x1^2", "x2^2"],
+             # x-coordinate duplication on y^2 = x^3 - 2
+             "lattes": ["x0^4 + 16*x0*x1^3", "4*x0^3*x1 - 8*x1^4"]}[name]
+    return DynSystem(parse_map(forms))
+
+
+@lru_cache(maxsize=None)
+def _selection_basis(name, n):
+    return special_basis(_selection_system(name), n)
+
+
+@st.composite
+def _selection_cases(draw):
+    """A basis on one of three P^1 maps (n <= 6) or on the P^2 power map
+    (n <= 3), and a lift sequence drawn from a few points with repeats
+    and rescaled duplicates."""
+    name = draw(st.sampled_from(["power", "half", "lattes", "power_p2"]))
+    system = _selection_system(name)
+    fam = _selection_basis(name, draw(st.integers(1, 6 if system.is_p1 else 3)))
+    pool = draw(_lifts(system.N + 1, draw(st.integers(1, fam.cn + 2))))
+    lifts = []
+    for _ in range(draw(st.integers(0, 2 * fam.cn + 2))):
+        pt = draw(st.sampled_from(pool))
+        lifts.append(pt.scaled(draw(_small.filter(bool))) if draw(st.booleans()) else pt)
+    return system, fam, lifts
+
+
+@settings(max_examples=150)
+@given(_selection_cases())
+def test_spanning_prefix_matches_a_greedy_rank_scan(case):
+    system, fam, lifts = case
+    tracker = IncrementalRank(fam.cn)
+    expect = []
+    for pos, pt in enumerate(lifts):
+        if len(expect) < fam.cn and tracker.add(fam.row(system, pt)):
+            expect.append(pos)
+    pulled = []
+
+    def feed():
+        for pt in lifts:
+            pulled.append(pt)
+            yield pt
+    got = list(fam.spanning_prefix(system, feed()))
+    assert [pos for pos, _ in got] == expect
+    assert all(pt is lifts[pos] for pos, pt in got)
+    # no lift is pulled after the c(n)-th kept one
+    assert len(pulled) == (expect[-1] + 1 if len(expect) == fam.cn else len(lifts))

@@ -269,6 +269,31 @@ def test_fekete_rejects_small_n_before_searching(capsys, monkeypatch, half_cfg):
     assert capsys.readouterr().err == "error: envelope needs n >= 2\n"
 
 
+def test_negative_degree_is_a_domain_error(capsys, half_cfg):
+    # section_dim rejects n < 1 for every caller, before math.comb sees
+    # a negative argument
+    for argv in (["basis", half_cfg, "--n=-2"],
+                 ["green", half_cfg, "--n=-2", "--points=2,1;3,1"],
+                 ["multiples", "--curve", "0,-2", "--point", "3,5", "--n=-2"],
+                 ["adelic-report", half_cfg, "--n=-2", "--budget", "10"]):
+        capsys.readouterr()
+        assert run(argv) == 1, argv
+        assert capsys.readouterr().err == "error: need n >= 1\n"
+
+
+def test_empty_integer_lists_are_parse_errors(capsys, half_cfg):
+    for value in (",", ""):
+        for argv, name in (
+                (["adelic-report", half_cfg, f"--n={value}", "--budget", "10"], "degree"),
+                (["lehmer-scan", "--curve", "0,-2", "--point", "3,5", f"--depths={value}"],
+                 "depth")):
+            capsys.readouterr()
+            assert run(argv) == 2, argv
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == f"error: empty {name} list {value!r}\n"
+
+
 def test_torsion_input_rejected_with_code_1(capsys):
     code = run(["multiples", "--curve", "0,1", "--point", "2,3", "--n", "2"])
     assert code == 1
@@ -348,7 +373,7 @@ def _system_texts(draw):
 _POINTS = (["2,1", "1/2,1", "3/2,1", "-1,1", "1,0", "0,0", "1,1,1", "2,1,3"],
            ["3,1,5", "1/0,1", "a,1", "", ",", "1e3,1", "1"])
 _TOLS = (["1e-9", "1e-6", "0.5"], ["1e-300", "0", "-1", "nan", "inf", "abc"])
-_N = (["1", "2", "3"], ["0", "-1", "x"])
+_N = (["1", "2", "3"], ["0", "-1", "-2", "-7", "x"])
 _BUDGETS = (["1", "10", "50"], ["0", "-5", "x"])  # the defaults are far too slow here
 _SEEDS = (["0", "7"], ["x"])
 _CURVE = (["0,-2", "-2,945/8", "0,1"], ["0,0", "1", "a,b"])
@@ -371,7 +396,7 @@ _GRAMMAR = {
     "fekete": [("--n", _N, "usually"), ("--budget", _BUDGETS, "always"),
                ("--seed", _SEEDS, "maybe"),
                ("--basis", (["special", "monomial"], ["bogus"]), "maybe")],
-    "adelic-report": [("--n", (["2", "2,3", "3,,2"], ["1,2", "0", "x", ""]), "usually"),
+    "adelic-report": [("--n", (["2", "2,3", "3,,2"], ["1,2", "0", "-2", "x", ""]), "usually"),
                       ("--budget", _BUDGETS, "always"), ("--tol", _TOLS, "maybe"),
                       ("--seed", _SEEDS, "maybe")],
     "multiples": [("--curve", _CURVE, "usually"), ("--point", _CURVE_POINT, "usually"),

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy import Poly, Symbol, factor_list
 
-from greenfield.basis import monomial_basis, section_dim
+from greenfield.basis import BasisFamily, monomial_basis, section_dim, special_basis
 from greenfield.dynsys import DynSystem
 from greenfield import cli, experiments
 from greenfield.errors import DomainError, InternalCheckError, PreconditionError
@@ -131,21 +131,29 @@ def test_multiples_search_rejects_duplicates(mordell_lattes):
         multiples_search(mordell_lattes.system, [a, b, c, b, a.scaled(-2)], 2)
 
 
-def test_multiples_search_decides_every_add_modulo_q(mordell_lattes, monkeypatch):
-    trackers = []
+def _no_rows(self, system, point):
+    raise AssertionError("an evaluation row was built")
 
-    class Recording(experiments.IncrementalRank):
-        def __init__(self, dim):
-            super().__init__(dim)
-            trackers.append(self)
 
-    monkeypatch.setattr(experiments, "IncrementalRank", Recording)
+def test_multiples_search_on_p1_builds_no_rows(mordell_lattes, monkeypatch):
+    # distinct points on P^1 are independent, so the orbit's first c(n)
+    # entries are kept without evaluating the basis
     n = 12
     cn = section_dim(mordell_lattes.system, n)
     orbit = mordell_lattes.orbit(2 * n + cn)
+    monkeypatch.setattr(BasisFamily, "row", _no_rows)
     res = multiples_search(mordell_lattes.system, orbit, n)
-    assert len(res.indices) == cn
-    assert [t.exact_adds for t in trackers] == [0]
+    assert res.indices == list(range(1, cn + 1))
+    assert res.determinant != 0
+
+
+def test_sample_julia_tuple_on_p1_builds_no_rows(half_map, monkeypatch):
+    basis = special_basis(half_map, 8)
+    monkeypatch.setattr(BasisFamily, "row", _no_rows)
+    for place in (ARCH, Place.prime(2)):
+        lifts = sample_julia_tuple(half_map, basis, place)
+        assert len(lifts) == basis.cn
+        assert basis.det(half_map, lifts) != 0
 
 
 def test_multiples_search_reports_rank_failure(mordell_lattes):

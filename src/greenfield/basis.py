@@ -113,10 +113,6 @@ class GenElement:
     factors: tuple  # of (i, k, j)
     expanded: HomoForm
 
-    @property
-    def is_monomial(self) -> bool:
-        return not self.factors
-
     def describe(self) -> str:
         eta_str = form_str(HomoForm.monomial(len(self.eta), self.eta))
         if not self.factors:
@@ -258,9 +254,6 @@ class BasisFamily:
         n = self.n
         return det_fraction([[el.expanded.coeffs.get((a, n - a), 0) for el in self.elements]
                              for a in range(n + 1)])
-
-    def max_factor_count(self) -> int:
-        return max((len(el.factors) for el in self.elements), default=0)
 
 
 def section_dim(system: DynSystem | None, n: int, N: int | None = None) -> int:

@@ -6,7 +6,7 @@ is not computed: the module produces certified lower bounds (witnesses
 from explicit tuples) and certified upper bounds (a Hadamard envelope),
 and reports carry the pair.  Determinants come from `BasisFamily.det`
 (exact lifts) and `det_log` (numeric lifts, X = P^1 only, with a derived
-error bound); numpy's `slogdet` is only the Fekete search objective.
+error bound).
 """
 
 import cmath
@@ -15,9 +15,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from .basis import BasisFamily, section_dim, t2_floor
+from .basis import BasisFamily, _wedge_terms, section_dim, t2_floor
 from .dynsys import DynSystem, Membership, escape_rate, julia_membership
 from .errors import DomainError, PreconditionError
 from .homopoly import ProjPoint, evaluate
@@ -120,14 +118,25 @@ def fekete_search(system: DynSystem, basis: BasisFamily, budget: int,
                   seed: int) -> FeketeResult:
     """Maximize the determinant witness over tuples on the standard
     real-angle chart (unit-circle points with lifts normalized to escape
-    rate zero): greedy Leja initialization over a seeded candidate pool,
-    then cyclic single-angle ascent with a shrinking probe window.
+    rate zero): a Leja start over a seeded candidate pool, then cyclic
+    single-angle ascent with a shrinking probe window.
 
-    Deterministic given the seed; the best objective value is
-    nondecreasing in the budget.  The witness, (1/(n c)) log|det| of the
-    returned lifts through `eval_det_log`, is a certified lower bound for
-    log d at the archimedean place (MINUS_INFINITY if the determinant is
-    not certifiably nonzero), not a claim of optimality.  Its error also
+    The objective is log|det| of the lifts by `BasisFamily.det`'s
+    factorization, log|det C| plus the fsum of the wedge logs
+    log|P_i ^ P_j| (-inf on a zero wedge), without `det_log`'s error
+    bound.  The Leja start picks, one at a time, the pool point whose
+    log wedges to the points picked before sum highest (ties to the
+    lowest pool index); a pool smaller than c(n) is filled with evenly
+    spread angles.  The start evaluates at least c(n) angles, so a budget
+    below c(n) is a DomainError.
+
+    Deterministic given the seed.  Once budget >= c + max(4c, 48) fixes
+    the pool, the best objective value is nondecreasing in the budget;
+    below that the pool, and so the start, depends on the budget.  The
+    witness, (1/(n c)) log|det| of the returned lifts through
+    `eval_det_log`, is a certified lower bound for log d at the
+    archimedean place (MINUS_INFINITY if the determinant is not
+    certifiably nonzero), not a claim of optimality.  Its error also
     carries where the lifts are: a lift with escape rate r > 0 lies off
     K, and scaling it into K lowers the witness by r / c.  A lift is its
     unit-circle point scaled by exp(-h), h its computed escape rate, so
@@ -135,61 +144,48 @@ def fekete_search(system: DynSystem, basis: BasisFamily, budget: int,
     """
     if not system.is_p1:
         raise PreconditionError("the angle chart needs X = P^1")
-    if budget < 1:
-        raise DomainError("budget must be positive")
     n, c = basis.n, basis.cn
+    if budget < c:
+        raise DomainError(f"budget {budget} is below c(n) = {c}")
     rng = random.Random(seed)
     arch = Place.archimedean()
+    log_det_c = abs_log(arch, basis._coeff_det).total()
     evals = 0
     esc_tol = 1e-12
-    row_cache: dict[float, tuple] = {}  # theta -> (row, lift with escape rate 0, |rate| bound)
+    cache: dict[float, tuple] = {}  # theta -> (lift with escape rate 0, |rate| bound)
 
-    def row_at(theta):
+    def lift_at(theta):
         nonlocal evals
-        got = row_cache.get(theta)
+        got = cache.get(theta)
         if got is None:
             evals += 1
             pt = ProjPoint.of_numeric([cmath.exp(1j * theta), 1.0])
             rate = escape_rate(system, arch, pt, esc_tol)
-            h = rate.total()
-            row = np.array(basis.row(system, pt), dtype=complex) * math.exp(-n * h)
-            got = row_cache[theta] = (row, pt.scaled(cmath.exp(-h)), rate.arch_err + esc_tol)
-        return got[0]
+            got = cache[theta] = (pt.scaled(cmath.exp(-rate.total())), rate.arch_err + esc_tol)
+        return got[0].lift
 
     def log_det_of(ths):
-        m = np.array([row_at(th) for th in ths])
-        sign, logabs = np.linalg.slogdet(m)
-        if sign == 0 or not np.isfinite(logabs):
-            return -math.inf
-        return float(logabs)
+        wedges = [abs(a - b) for a, b in _wedge_terms([lift_at(th) for th in ths])]
+        return log_det_c + math.fsum(map(math.log, wedges)) if all(wedges) else -math.inf
 
-    # Leja initialization over a seeded pool: pick the row with the
-    # largest component orthogonal to the span of the rows chosen so far.
-    # Each untaken row keeps that residual; a pick subtracts one direction.
     pool_size = min(max(4 * c, 48), max(budget - c, 1))
     pool = [rng.uniform(0.0, 2.0 * math.pi) for _ in range(pool_size)]
-    pool_rows = [row_at(th) for th in pool]
+    scores = [0.0] * pool_size  # sum of log wedges to the points picked so far
+    free = list(range(pool_size))
     thetas = []
-    resids = {i: row.copy() for i, row in enumerate(pool_rows)}
     for _ in range(min(c, pool_size)):
-        best_i, best_score = None, -1.0
-        for i, resid in resids.items():
-            score = float(np.linalg.norm(resid))
-            if score > best_score:
-                best_i, best_score = i, score
-        thetas.append(pool[best_i])
-        resid = resids.pop(best_i)
-        nrm = float(np.linalg.norm(resid))
-        if nrm > 0:
-            q = resid / nrm
-            for other in resids.values():
-                other -= q.conj().dot(other) * q
+        pick = max(free, key=scores.__getitem__)
+        free.remove(pick)
+        thetas.append(pool[pick])
+        x, y = lift_at(pool[pick])
+        for i in free:
+            xi, yi = lift_at(pool[i])
+            w = abs(xi * y - x * yi)
+            scores[i] += math.log(w) if w else -math.inf
     while len(thetas) < c:  # degenerate pool; spread points evenly
         thetas.append(2.0 * math.pi * len(thetas) / c)
 
     current = log_det_of(thetas)
-    best_thetas = list(thetas)
-    best_val = current
     window = math.pi / max(c, 2)
     while evals < budget:
         sweep_start = evals
@@ -208,18 +204,16 @@ def fekete_search(system: DynSystem, basis: BasisFamily, budget: int,
                 if val > current:
                     thetas, current = cand, val
                     improved = True
-            if current > best_val:
-                best_val, best_thetas = current, list(thetas)
         window *= 0.9 if improved else 0.5
         if window < 1e-15:
             window = math.pi / max(c, 2)
         if evals == sweep_start:
             break  # every probe hit the cache; nothing new to evaluate
 
-    lifts = [row_cache[th][1] for th in best_thetas]
+    lifts = [cache[th][0] for th in thetas]
     det = eval_det_log(system, basis, lifts, arch)
     if det is MINUS_INFINITY:
-        return FeketeResult(best_thetas, lifts, MINUS_INFINITY, best_val, evals)
-    off_k = math.fsum(row_cache[th][2] for th in best_thetas) / c
+        return FeketeResult(thetas, lifts, MINUS_INFINITY, current, evals)
+    off_k = math.fsum(cache[th][1] for th in thetas) / c
     witness = det.scale(Fraction(1, n * c)) + LogMag.of_float(0.0, off_k)
-    return FeketeResult(best_thetas, lifts, witness, best_val, evals)
+    return FeketeResult(thetas, lifts, witness, current, evals)

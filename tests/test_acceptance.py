@@ -10,7 +10,6 @@ import random
 import time
 from fractions import Fraction
 
-import numpy as np
 from sympy import factorint, prime
 
 from greenfield.basis import monomial_basis, section_dim, special_basis
@@ -242,7 +241,7 @@ def test_criterion_05_hadamard_envelope():
         basis = special_basis(half, n)
         c = basis.cn
         # the envelope's factor-count exponent covers these elements
-        if basis.relaxed_j or basis.max_factor_count() > t2_floor(half, n):
+        if basis.relaxed_j or max(len(el.factors) for el in basis.elements) > t2_floor(half, n):
             problems.append(f"basis at n={n} exceeds the envelope's factor window")
         env_sum = 0.0
         for place in places:
@@ -293,8 +292,11 @@ def test_criterion_06_transfinite_trend():
     pw = DynSystem(parse_map(["x0^2", "x1^2"]))
     # brute force at n = 2: |Vandermonde| on the cube roots of unity
     w = cmath.exp(2j * math.pi / 3)
-    m = np.array([[w ** (i * j) for j in range(3)] for i in range(3)])
-    brute = abs(np.linalg.det(m))
+    m = [[w ** (i * j) for j in range(3)] for i in range(3)]
+    # cofactor expansion along the first row: the cofactor of column j is
+    # the minor on columns j + 1, j + 2 (mod 3), with sign +1
+    brute = abs(sum(m[0][j] * (m[1][j - 2] * m[2][j - 1] - m[1][j - 1] * m[2][j - 2])
+                    for j in range(3)))
     if abs(brute - 3**1.5) > 1e-12:
         problems.append(f"|V| = {brute} differs from 3^(3/2)")
     rows = transfin_trend(pw, [2, 4, 8, 16], places=[ARCH, Place.prime(7)])

@@ -67,7 +67,7 @@ def test_degree_sandwich_and_n0_scan():
 
 def test_spanning_family_monomials_below_threshold(power_map):
     els = [el for el, _ in spanning_family(power_map, 3)]
-    assert all(el.is_monomial for el in els)
+    assert all(not el.factors for el in els)
     assert len(els) == 4
 
 

@@ -1,9 +1,12 @@
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +16,9 @@ from greenfield import cli, dynsys
 from greenfield.cli import SystemConfig, run
 from greenfield.dynsys import escape_rate
 from greenfield.experiments import EllipticCurve, LattesSystem, multiples_search
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+HALF = str(Path(__file__).resolve().parent / "golden" / "half.json")
 
 
 @pytest.fixture()
@@ -279,6 +285,32 @@ def test_negative_degree_is_a_domain_error(capsys, half_cfg):
         capsys.readouterr()
         assert run(argv) == 1, argv
         assert capsys.readouterr().err == "error: need n >= 1\n"
+
+
+def test_budget_below_c_is_a_domain_error(capsys):
+    # the Fekete search's start alone evaluates at least c(n) angles
+    for argv, c in ((["fekete", HALF, "--n", "8", "--budget", "5"], 9),
+                    (["fekete", HALF, "--n", "2", "--budget", "1"], 3),
+                    (["adelic-report", HALF, "--n", "2", "--budget", "1"], 3)):
+        capsys.readouterr()
+        assert run(argv) == 1, argv
+        out, err = capsys.readouterr()
+        assert out == ""
+        budget = argv[-1]
+        assert err == f"error: budget {budget} is below c(n) = {c}\n"
+
+
+def test_cli_runs_without_numpy():
+    script = ("import sys\n"
+              "sys.modules['numpy'] = None\n"
+              "from greenfield.cli import run\n"
+              f"sys.exit(run(['adelic-report', {HALF!r}, '--n', '4', '--budget', '300']))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["entries"][0]["n"] == 4
 
 
 def test_empty_integer_lists_are_parse_errors(capsys, half_cfg):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from greenfield.basis import monomial_basis, special_basis
+from greenfield.basis import BasisFamily, GenElement, monomial_basis, special_basis
 from greenfield.dynsys import DynSystem, escape_rate
 from greenfield.errors import DimensionMismatch, DomainError, PreconditionError
 from greenfield.experiments import roots_of_unity_tuple
@@ -320,24 +320,56 @@ def test_fekete_deterministic_and_monotone(power_map):
     assert a.witness.total() >= small.witness.total() - 1e-15
 
 
-def test_fekete_witness_is_certified_from_its_lifts(half_map):
-    basis = special_basis(half_map, 8)
+FEKETE_MAPS = {
+    "half": ["x0^2 + 1/2*x1^2", "x1^2"],
+    "sevensixths": ["x0^2 - 7/6*x1^2", "x1^2"],
+    "power": ["x0^2", "x1^2"],
+}
+
+
+@pytest.mark.parametrize("seed", [3, 7])
+@pytest.mark.parametrize("name", sorted(FEKETE_MAPS))
+def test_fekete_witness_is_certified_from_its_lifts(name, seed):
+    system = DynSystem(parse_map(FEKETE_MAPS[name]))
+    basis = special_basis(system, 8)
     n, c = 8, basis.cn
-    res = fekete_search(half_map, basis, 600, seed=7)
-    det = eval_det_log(half_map, basis, res.lifts, ARCH).scale(Fraction(1, n * c))
+    res = fekete_search(system, basis, 600, seed=seed)
+    det = eval_det_log(system, basis, res.lifts, ARCH).scale(Fraction(1, n * c))
     assert res.witness.total() == det.total()
     assert res.witness.total() == pytest.approx(res.log_det / (n * c), abs=1e-12)
     # scaled by e^(-r), r the upper end of its escape rate, each lift lies in
     # K; the witness's lower end must not exceed theirs
     ups = [max(0.0, r.total() + r.arch_err)
-           for r in (escape_rate(half_map, ARCH, pt, 1e-12) for pt in res.lifts)]
-    inside = eval_det_log(half_map, basis, [pt.scaled(math.exp(-r)) for pt, r in
-                                            zip(res.lifts, ups)], ARCH).scale(Fraction(1, n * c))
+           for r in (escape_rate(system, ARCH, pt, 1e-12) for pt in res.lifts)]
+    inside = eval_det_log(system, basis, [pt.scaled(math.exp(-r)) for pt, r in
+                                          zip(res.lifts, ups)], ARCH).scale(Fraction(1, n * c))
     assert res.witness.total() - res.witness.arch_err <= inside.total()
     # each lift is charged its search-time escape rate's error (about
     # 1.05e-12 here) plus the search's escape tol, 1e-12, for the rounding
     # of the scaling
     assert res.witness.arch_err < 2.5e-12
+
+
+def test_fekete_builds_no_basis_row(half_map, monkeypatch):
+    # the objective and the witness both go through the wedges of the lifts
+    basis = special_basis(half_map, 8)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the search evaluated a basis element")
+
+    monkeypatch.setattr(BasisFamily, "row", refuse)
+    monkeypatch.setattr(GenElement, "evaluate_at", refuse)
+    res = fekete_search(half_map, basis, 600, seed=7)
+    assert res.evaluations == 600
+    assert res.witness is not MINUS_INFINITY
+
+
+def test_fekete_budget_covers_the_start(half_map):
+    # the Leja start evaluates at least c(n) = 9 angles
+    basis = special_basis(half_map, 8)
+    with pytest.raises(DomainError, match=r"budget 8 is below c\(n\) = 9"):
+        fekete_search(half_map, basis, 8, seed=7)
+    assert fekete_search(half_map, basis, 9, seed=7).evaluations == 9
 
 
 def test_fekete_needs_p1_without_chart(power_map_p2):

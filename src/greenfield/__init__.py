@@ -13,9 +13,9 @@ from .dynsys import (DynSystem, Membership, check_invariance, escape_rate,
 from .errors import (DimensionMismatch, DomainError, GreenfieldError,
                      InputError, InternalCheckError, NotAMorphism,
                      PreconditionError, ResourceLimit)
-from .experiments import (AdelicReport, EllipticCurve, LattesSystem,
-                          adelic_report, duplication_map, lehmer_scan,
-                          multiples_search, transfin_trend)
+from .experiments import (EllipticCurve, LattesSystem, adelic_report,
+                          duplication_map, lehmer_scan, multiples_search,
+                          transfin_trend)
 from .green import (dbn_witness, eval_det_log, fekete_search, green_value,
                     hadamard_envelope, julia_radius_log)
 from .heights import (HeightValue, canonical_height, contributing_places,

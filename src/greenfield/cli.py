@@ -334,22 +334,12 @@ def _cmd_adelic(args):
     tol = args.tol if args.tol is not None else cfg.tol
     seed = args.seed if args.seed is not None else cfg.seed
     report = adelic_report(system, _parse_int_list(args.n, "degree"), args.budget, seed, tol)
-    payload = report.to_dict()
-    _emit(payload, args.out)
+    _emit(report, args.out)
     if args.csv:
-        rows = []
-        for e in report.entries:
-            for place in report.places:
-                rows.append(
-                    {
-                        "n": e.n,
-                        "c": e.c,
-                        "place": place,
-                        "envelope_logd": e.envelopes[place],
-                        "witness_logd": e.witnesses[place],
-                    }
-                )
-        _write_csv(args.csv, rows)
+        _write_csv(args.csv, [
+            {"n": e["n"], "c": e["c"], "place": place,
+             "envelope_logd": e["envelopes"][place], "witness_logd": e["witnesses"][place]}
+            for e in report["entries"] for place in report["places"]])
     return 0
 
 
@@ -400,9 +390,9 @@ def _cmd_multiples(args):
 def _cmd_lehmer(args):
     lattes = _curve_and_point(args)
     table = lehmer_scan(lattes, _parse_int_list(args.depths, "depth"), args.tol)
-    _emit(table.to_dict(), args.out)
+    _emit(table, args.out)
     if args.csv:
-        _write_csv(args.csv, table.to_dict()["rows"])
+        _write_csv(args.csv, table["rows"])
     return 0
 
 

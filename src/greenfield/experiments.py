@@ -21,7 +21,7 @@ from .basis import BasisFamily, special_basis
 from .dynsys import DynSystem, escape_rate
 from .errors import DomainError, InternalCheckError, PreconditionError, ResourceLimit
 from .green import dbn_witness, fekete_search, hadamard_envelope, julia_radius_log
-from .heights import HeightValue, canonical_height, contributing_places
+from .heights import canonical_height, contributing_places
 from .homopoly import HomoForm, PolyMap, ProjPoint
 from .pffield import MINUS_INFINITY, Place
 
@@ -210,46 +210,6 @@ def _roots_on_x(system: DynSystem, count_pts: int) -> list[ProjPoint]:
 # Adelic report (envelope vs witness, per place and degree)
 
 
-@dataclass
-class AdelicEntry:
-    n: int
-    c: int
-    envelopes: dict  # place repr -> envelope for log d (upper bound)
-    witnesses: dict  # place repr -> witness for log d (lower bound) or None
-    envelope_sum: float = 0.0
-    witness_sum: float | None = None
-    fitted_c: float = 0.0
-    witness_notes: dict = field(default_factory=dict)  # place repr -> why None
-
-
-@dataclass
-class AdelicReport:
-    places: list[str]
-    entries: list[AdelicEntry]
-    c_fit: float
-
-    def to_dict(self):
-        return {
-            "schema": "greenfield-report/1",
-            "kind": "adelic-report",
-            "places": self.places,
-            "c_fit": self.c_fit,
-            "entries": [
-                {
-                    "n": e.n,
-                    "c": e.c,
-                    "envelopes": e.envelopes,
-                    "witnesses": e.witnesses,
-                    "envelope_sum": e.envelope_sum,
-                    "witness_sum": e.witness_sum,
-                    "fitted_c": e.fitted_c,
-                    **({"witness_notes": e.witness_notes} if e.witness_notes else {}),
-                }
-                for e in self.entries
-            ],
-        }
-
-
 def report_places(system: DynSystem) -> list[Place]:
     """The archimedean place plus every prime in the support of the
     resultant or of any coefficient."""
@@ -280,16 +240,16 @@ def _place_bounds(system: DynSystem, basis: BasisFamily, place: Place, tol: floa
 
 
 def adelic_report(system: DynSystem, n_list, budget: int = 4000, seed: int = 7,
-                  tol: float = 1e-9) -> AdelicReport:
+                  tol: float = 1e-9) -> dict:
     """For each n: the special basis, per-place envelopes from the
     Julia-radius bound, witnesses from explicit tuples (Fekete search at
     the archimedean place, greedy grid tuples at finite places), and
-    the fitted constant max_n (sum_v envelope) * n / log n."""
+    the fitted constant max_n (sum_v envelope) * n / log n; returned as
+    the JSON-ready report the CLI prints."""
     places = report_places(system)
     entries = []
     for n in n_list:
         basis = special_basis(system, n)
-        c = basis.cn
         envs = {}
         wits = {}
         notes = {}
@@ -301,11 +261,18 @@ def adelic_report(system: DynSystem, n_list, budget: int = 4000, seed: int = 7,
                 notes[repr(place)] = note
         env_sum = math.fsum(envs.values())
         wit_vals = [w for w in wits.values() if w is not None]
-        wit_sum = math.fsum(wit_vals) if len(wit_vals) == len(places) else None
-        fitted = env_sum * n / math.log(n) if n >= 2 else 0.0
-        entries.append(AdelicEntry(n, c, envs, wits, env_sum, wit_sum, fitted, notes))
-    c_fit = max((e.fitted_c for e in entries), default=0.0)
-    return AdelicReport([repr(p) for p in places], entries, c_fit)
+        entries.append({
+            "n": n, "c": basis.cn, "envelopes": envs, "witnesses": wits,
+            "envelope_sum": env_sum, "fitted_c": env_sum * n / math.log(n),
+            "witness_sum": math.fsum(wit_vals) if len(wit_vals) == len(places) else None,
+            **({"witness_notes": notes} if notes else {})})
+    return {
+        "schema": "greenfield-report/1",
+        "kind": "adelic-report",
+        "places": [repr(p) for p in places],
+        "c_fit": max((e["fitted_c"] for e in entries), default=0.0),
+        "entries": entries,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -381,47 +348,6 @@ def multiples_search(system: DynSystem, orbit: list[ProjPoint], n: int) -> Multi
 MAX_LEHMER_DEPTH = 3
 
 
-@dataclass
-class LehmerRow:
-    depth: int
-    degree: int
-    count: int  # number of conjugate preimages in the class
-    multiplicity: int
-    height: float
-    height_err: float
-    shape: float  # height * D^5 * log(max(D,2))^2
-    factor: str
-
-
-@dataclass
-class LehmerTable:
-    base_height: HeightValue
-    rows: list[LehmerRow]
-    min_shape: float
-
-    def to_dict(self):
-        return {
-            "schema": "greenfield-report/1",
-            "kind": "lehmer-scan",
-            "base_height": self.base_height.value,
-            "base_height_err": self.base_height.error,
-            "min_shape": self.min_shape,
-            "rows": [
-                {
-                    "depth": r.depth,
-                    "degree": r.degree,
-                    "count": r.count,
-                    "multiplicity": r.multiplicity,
-                    "height": r.height,
-                    "height_err": r.height_err,
-                    "shape": r.shape,
-                    "factor": r.factor,
-                }
-                for r in self.rows
-            ],
-        }
-
-
 def _preimage_factors(lattes: LattesSystem, depth: int):
     """Irreducible factors over Q of the depth-k preimage equation
     f^k(z) = x(P), as (coefficients, multiplicity) pairs. Each factor is
@@ -458,17 +384,17 @@ def _poly_str(coeffs) -> str:
     return " ".join(terms)[2:]  # the leading term is positive: drop its "+ "
 
 
-def lehmer_scan(lattes: LattesSystem, depth_list, tol: float = 1e-9) -> LehmerTable:
-    """Height-vs-degree table over iterated preimages of x(P): each
-    depth-k preimage class of degree D contributes height h0/4^k (exact
-    functional equation) and the shape value h * D^5 * log(max(D,2))^2.
-    The minimum shape is reported as an empirical constant; nothing is
-    proved, rows can only falsify."""
+def lehmer_scan(lattes: LattesSystem, depth_list, tol: float = 1e-9) -> dict:
+    """Height-vs-degree table over iterated preimages of x(P), returned
+    as the JSON-ready report the CLI prints: each depth-k preimage class
+    of degree D (D conjugate points, its count) contributes height
+    h0/4^k (exact functional equation) and the shape value
+    h * D^5 * log(max(D,2))^2.  The minimum shape is reported as an
+    empirical constant; nothing is proved, rows can only falsify."""
     for depth in depth_list:
         if depth < 0 or depth > MAX_LEHMER_DEPTH:
             raise DomainError(f"depth {depth} outside [0, {MAX_LEHMER_DEPTH}]")
-    sys0 = lattes.system
-    h0 = canonical_height(sys0, ProjPoint.exact([lattes.base_point[0], 1]), tol)
+    h0 = canonical_height(lattes.system, ProjPoint.exact([lattes.base_point[0], 1]), tol)
     if h0.value - h0.error <= tol:
         raise PreconditionError(
             f"base point height {h0.value} not certifiably above tol={tol}: torsion?"
@@ -478,14 +404,19 @@ def lehmer_scan(lattes: LattesSystem, depth_list, tol: float = 1e-9) -> LehmerTa
     for depth in depth_list:
         scale = 4**depth
         h = h0.value / scale
-        herr = h0.error / scale
-        if depth == 0:
-            shape = h * 1**5 * math.log(2) ** 2
-            rows.append(LehmerRow(0, 1, 1, 1, h, herr, shape, "z - x(P)"))
-            continue
-        for poly, mult in _preimage_factors(lattes, depth):
-            D = len(poly) - 1
-            shape = h * D**5 * math.log(max(D, 2)) ** 2
-            rows.append(LehmerRow(depth, D, D, mult, h, herr, shape, _poly_str(poly)))
-    min_shape = min((r.shape for r in rows), default=math.inf)
-    return LehmerTable(h0, rows, min_shape)
+        factors = ([("z - x(P)", 1, 1)] if depth == 0 else
+                   [(_poly_str(poly), len(poly) - 1, mult)
+                    for poly, mult in _preimage_factors(lattes, depth)])
+        for factor, D, mult in factors:
+            rows.append({
+                "depth": depth, "degree": D, "count": D, "multiplicity": mult,
+                "height": h, "height_err": h0.error / scale,
+                "shape": h * D**5 * math.log(max(D, 2)) ** 2, "factor": factor})
+    return {
+        "schema": "greenfield-report/1",
+        "kind": "lehmer-scan",
+        "base_height": h0.value,
+        "base_height_err": h0.error,
+        "min_shape": min((r["shape"] for r in rows), default=math.inf),
+        "rows": rows,
+    }

@@ -35,36 +35,10 @@ def parse_rational(s: str) -> Fraction:
         raise InputError(f"zero denominator: {s!r}")
 
 
-class _MinusInfinity:
-    """Sentinel for log(0) = -infinity; never mixed into LogMag ledgers."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "MinusInfinity"
-
-
-class _PlusInfinity:
-    """Sentinel for +infinity (Green's function on a singular tuple)."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "PlusInfinity"
-
-
-MINUS_INFINITY = _MinusInfinity()
-PLUS_INFINITY = _PlusInfinity()
+# log(0) (never mixed into LogMag ledgers) and a Green value on a
+# singular tuple; tested with `is`, so a stray math.inf never matches.
+MINUS_INFINITY = float("-inf")
+PLUS_INFINITY = float("inf")
 
 
 def _ord(n: int, p: int) -> int:

@@ -422,20 +422,20 @@ def test_criterion_10_lehmer_scan():
     lattes = LattesSystem(EllipticCurve(Fraction(0), Fraction(-2)),
                           (Fraction(3), Fraction(5)))
     table = lehmer_scan(lattes, [0, 1, 2], tol=1e-9)
-    h0 = table.base_height.value
-    for row in table.rows:
-        if row.height * 4**row.depth != h0:
-            problems.append(f"functional equation broken at depth {row.depth}")
-        shape = row.height * row.degree**5 * math.log(max(row.degree, 2)) ** 2
+    h0 = table["base_height"]
+    for row in table["rows"]:
+        if row["height"] * 4**row["depth"] != h0:
+            problems.append(f"functional equation broken at depth {row['depth']}")
+        shape = row["height"] * row["degree"]**5 * math.log(max(row["degree"], 2)) ** 2
         if not shape > 0:
-            problems.append(f"nonpositive shape at depth {row.depth}")
-        if abs(shape - row.shape) > 1e-12 * max(1.0, abs(shape)):
+            problems.append(f"nonpositive shape at depth {row['depth']}")
+        if abs(shape - row["shape"]) > 1e-12 * max(1.0, abs(shape)):
             problems.append("reported shape disagrees with recomputation")
     for depth in (0, 1, 2):
-        total = sum(r.degree * r.multiplicity for r in table.rows if r.depth == depth)
+        total = sum(r["degree"] * r["multiplicity"] for r in table["rows"] if r["depth"] == depth)
         if total != 4**depth:
             problems.append(f"factor degrees at depth {depth} sum to {total}")
-    if not table.min_shape > 0:
+    if not table["min_shape"] > 0:
         problems.append("minimum shape not positive")
     elapsed = time.time() - t0
     if elapsed > 300.0:

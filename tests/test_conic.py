@@ -73,7 +73,7 @@ def test_dbn_witness_checks_the_hypersurface(conic):
 
 
 def test_adelic_report_says_why_a_witness_is_missing(conic):
-    entry = adelic_report(conic, [6], budget=50).to_dict()["entries"][0]
+    entry = adelic_report(conic, [6], budget=50)["entries"][0]
     assert entry["witnesses"] == {"inf": None}
     assert "X = P^1" in entry["witness_notes"]["inf"]  # the angle chart
 

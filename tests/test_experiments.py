@@ -194,37 +194,36 @@ def test_sample_julia_tuple(power_map, half_map):
 
 def test_adelic_report_power_map(power_map):
     report = adelic_report(power_map, [2, 4, 8], budget=1500, seed=3)
-    assert report.places == ["inf"]  # Res = 1, unit coefficients
-    for entry in report.entries:
-        for place, env in entry.envelopes.items():
-            wit = entry.witnesses[place]
+    assert report["places"] == ["inf"]  # Res = 1, unit coefficients
+    for entry in report["entries"]:
+        for place, env in entry["envelopes"].items():
+            wit = entry["witnesses"][place]
             assert wit is None or wit <= env + 1e-9
     # fitted constants stable and the scaled envelope decreasing
-    sums = [e.envelope_sum for e in report.entries]
+    sums = [e["envelope_sum"] for e in report["entries"]]
     assert all(sums[i + 1] <= sums[i] + 1e-12 for i in range(len(sums) - 1))
-    d = report.to_dict()
-    assert d["schema"] == "greenfield-report/1"
-    assert all("witness_notes" not in e for e in d["entries"])  # none missing
+    assert report["schema"] == "greenfield-report/1"
+    assert all("witness_notes" not in e for e in report["entries"])  # none missing
 
 
 def test_adelic_report_half_map(half_map):
     report = adelic_report(half_map, [4, 8], budget=1200, seed=3)
     # bad places are exactly 2 and infinity
-    assert set(report.places) == {"inf", "p=2"}
-    for entry in report.entries:
-        assert entry.envelopes["p=2"] > 0.0
-        assert entry.envelopes["inf"] > 0.0
-        for place, env in entry.envelopes.items():
-            wit = entry.witnesses[place]
+    assert set(report["places"]) == {"inf", "p=2"}
+    for entry in report["entries"]:
+        assert entry["envelopes"]["p=2"] > 0.0
+        assert entry["envelopes"]["inf"] > 0.0
+        for place, env in entry["envelopes"].items():
+            wit = entry["witnesses"][place]
             assert wit is None or wit <= env + 1e-9
 
 
 def test_adelic_report_notes_a_hypersurface_on_p1():
     # P^1 with a hypersurface: the angle chart's points are not on X
     line = DynSystem(parse_map(["x0^2", "x1^2"]), parse_form("x0 - x1", 2))
-    for entry in adelic_report(line, [2, 3], budget=50).entries:
-        assert entry.witnesses["inf"] is None
-        assert entry.witness_notes["inf"] == "the angle chart needs X = P^1"
+    for entry in adelic_report(line, [2, 3], budget=50)["entries"]:
+        assert entry["witnesses"]["inf"] is None
+        assert entry["witness_notes"]["inf"] == "the angle chart needs X = P^1"
 
 
 def test_transfin_trend_notes_the_roots_of_unity_off_p1(power_map_p2):
@@ -237,9 +236,9 @@ def test_transfin_trend_notes_the_roots_of_unity_off_p1(power_map_p2):
 
 def test_grid_exhaustion_is_a_witness_note(half_map, monkeypatch):
     monkeypatch.setattr(experiments, "MAX_GRID_TRIES", 1)
-    entry = adelic_report(half_map, [4], budget=300, seed=3).entries[0]
-    assert entry.witnesses["p=2"] is None
-    assert "within 1 grid points" in entry.witness_notes["p=2"]
+    entry = adelic_report(half_map, [4], budget=300, seed=3)["entries"][0]
+    assert entry["witnesses"]["p=2"] is None
+    assert "within 1 grid points" in entry["witness_notes"]["p=2"]
 
 
 def test_internal_check_error_escapes_the_witness_notes(half_map, half_cfg_path,
@@ -323,17 +322,17 @@ def test_roots_of_unity_tuple():
 
 def test_lehmer_scan(mordell_lattes):
     table = lehmer_scan(mordell_lattes, [0, 1], tol=1e-9)
-    h0 = table.base_height.value
+    h0 = table["base_height"]
     assert h0 > 0.5
-    assert table.rows[0].degree == 1
-    assert table.rows[0].height == h0
-    total_degree = sum(r.degree * r.multiplicity for r in table.rows if r.depth == 1)
+    assert table["rows"][0]["degree"] == 1
+    assert table["rows"][0]["height"] == h0
+    total_degree = sum(r["degree"] * r["multiplicity"] for r in table["rows"] if r["depth"] == 1)
     assert total_degree == 4
-    for r in table.rows:
-        assert r.height * 4**r.depth == pytest.approx(h0, rel=1e-15)
-        assert r.shape > 0
-        assert r.height >= -1e-9
-    assert table.min_shape > 0
+    for r in table["rows"]:
+        assert r["height"] * 4**r["depth"] == pytest.approx(h0, rel=1e-15)
+        assert r["shape"] > 0
+        assert r["height"] >= -1e-9
+    assert table["min_shape"] > 0
 
 
 def test_lehmer_scan_depth_guard(mordell_lattes, monkeypatch):

@@ -42,7 +42,7 @@ CASES = {
                        "--csv", "{csv}"], 0),
     "multiples": (["multiples", *CURVE, "--n", "4"], 0),
     "multiples_n12": (["multiples", *BAND_CURVE, "--n", "12"], 0),
-    "lehmer_scan": (["lehmer-scan", *CURVE, "--depths", "0,1,2"], 0),
+    "lehmer_scan": (["lehmer-scan", *CURVE, "--depths", "0,1,2", "--csv", "{csv}"], 0),
 }
 
 
@@ -64,6 +64,13 @@ def test_golden_output(name, tmp_path):
     assert out == (GOLDEN / f"{name}.out").read_bytes()
     expected_csv = GOLDEN / f"{name}.csv"
     assert csv == (expected_csv.read_bytes() if expected_csv.exists() else None)
+
+
+def test_every_golden_file_has_a_case():
+    """A renamed or removed case must not leave an output nothing compares."""
+    stale = sorted(f.name for f in GOLDEN.iterdir()
+                   if f.suffix in (".out", ".csv") and f.stem not in CASES)
+    assert stale == []
 
 
 def regenerate():

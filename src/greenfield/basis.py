@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations_with_replacement
 
 from .errors import DimensionMismatch, DomainError, InternalCheckError, ResourceLimit
 from .dynsys import DynSystem
@@ -40,17 +39,21 @@ U = 2.0**-53
 GAMMA = math.sqrt(5) * U * (1 + 16 * U)
 
 
+def _generators(system: DynSystem, nmax: int) -> list[tuple[int, int, int]]:
+    """(j*d^k, k, j) for the generator powers (F_i^(k))^j of degree up to
+    nmax, by degree ascending (each degree has exactly one (k, j))."""
+    d = system.degree
+    out = []
+    power, k = d, 1
+    while power <= nmax:
+        out += [(j * power, k, j) for j in range(1, d) if j * power <= nmax]
+        power, k = power * d, k + 1
+    return out
+
+
 def gen_degrees(system: DynSystem, nmax: int) -> list[int]:
     """Degrees j*d^k of generator elements, up to nmax, ascending."""
-    d = system.degree
-    out = set()
-    power = d
-    while power <= nmax:
-        for j in range(1, d):
-            if j * power <= nmax:
-                out.add(j * power)
-        power *= d
-    return sorted(out)
+    return [m for m, _, _ in _generators(system, nmax)]
 
 
 def floor_G(system: DynSystem, n: int) -> int:
@@ -135,20 +138,6 @@ class GenElement:
                 orbit[len(orbit) + 1] = system.map.image(orbit.get(len(orbit), point.lift))
             val = val * orbit[k][i] ** j
         return val
-
-
-def _degree_to_kj(system: DynSystem, m: int) -> tuple[int, int]:
-    """The unique (k, j) with m = j*d^k, 1 <= j <= d-1."""
-    d = system.degree
-    k = 0
-    power = 1
-    while power * d <= m:
-        power *= d
-        k += 1
-    j, rem = divmod(m, power)
-    if k < 1 or rem or not (1 <= j <= d - 1):
-        raise InternalCheckError(f"{m} is not a generator degree")
-    return k, j
 
 
 def _wedge_terms(lifts):
@@ -281,66 +270,38 @@ def _monomial_elements(nvars: int, n: int) -> list[GenElement]:
 def _elements_for_j(system: DynSystem, n: int, j: int):
     """Lazily yield the products with exactly j generator factors, in the
     documented order: cofactor monomial first (by degree, then position in
-    the descending-lex listing of its degree), then factor triples."""
+    the descending-lex listing of its degree), then the sorted factor tuple.
+
+    One recursion picks the factors (i, k, j') with repetition from the
+    generators sorted by degree descending, then i, and stops once the
+    remaining slots cannot bring the cofactor degree below d(N+1)."""
     d, N = system.degree, system.N
     nvars = system.map.nvars
-    degs = gen_degrees(system, n)
-    if j == 0:
-        if n < d * (N + 1):
-            yield from _monomial_elements(nvars, n)
-        return
-    out = []
+    top = d * (N + 1)
+    gens = [(m, (i, k, jp)) for m, k, jp in reversed(_generators(system, n))
+            for i in range(N + 1)]
+    by_rest = {}  # cofactor degree -> factor tuples
 
-    def multisets(start_idx, slots, remaining):
-        # nonincreasing degree sequences; remaining degree for eta in [0, d(N+1))
+    def pick(start, slots, rest, factors):
         if slots == 0:
-            if 0 <= remaining < d * (N + 1):
-                yield []
+            if rest < top:
+                by_rest.setdefault(rest, []).append(factors)
             return
-        for idx in range(start_idx, -1, -1):
-            m = degs[idx]
-            if m * slots < remaining - d * (N + 1) + 1:
+        for idx in range(start, len(gens)):
+            m, factor = gens[idx]
+            if m * slots <= rest - top:
                 break
-            if m > remaining:
-                continue
-            for rest in multisets(idx, slots - 1, remaining - m):
-                yield [m] + rest
+            if m <= rest:
+                pick(idx, slots - 1, rest - m, factors + (factor,))
 
-    for ms in multisets(len(degs) - 1, j, n):
-        eta_deg = n - sum(ms)
-        # group repeated degrees; choose coordinate indices as multisets
-        groups = []
-        seen = {}
-        for m in ms:
-            seen[m] = seen.get(m, 0) + 1
-        for m in sorted(seen, reverse=True):
-            groups.append((m, seen[m]))
-        choice_sets = []
-        for m, mult in groups:
-            k, jp = _degree_to_kj(system, m)
-            choice_sets.append([
-                tuple((i, k, jp) for i in combo)
-                for combo in combinations_with_replacement(range(N + 1), mult)
-            ])
-
-        def assemble(gi, acc):
-            if gi == len(choice_sets):
-                factors = tuple(t for grp in acc for t in grp)
-                for eta in monomials_of_degree(nvars, eta_deg):
-                    out.append((eta_deg, eta, factors))
-                return
-            for pick in choice_sets[gi]:
-                assemble(gi + 1, acc + [pick])
-
-        assemble(0, [])
-    order = {expo: r for deg in sorted({e[0] for e in out}) for r, expo in
-             enumerate(monomials_of_degree(nvars, deg))}
-    out.sort(key=lambda t: (t[0], order[t[1]], t[2]))
-    for eta_deg, eta, factors in out:
-        form = HomoForm.monomial(nvars, eta)
-        for i, k, jp in factors:
-            form = form * (system.iterate(k).forms[i] ** jp)
-        yield GenElement(eta, factors, form)
+    pick(0, j, n, ())
+    for rest in sorted(by_rest):
+        for eta in monomials_of_degree(nvars, rest):
+            for factors in sorted(by_rest[rest]):
+                form = HomoForm.monomial(nvars, eta)
+                for i, k, jp in factors:
+                    form = form * (system.iterate(k).forms[i] ** jp)
+                yield GenElement(eta, factors, form)
 
 
 def spanning_family(system: DynSystem, n: int):

@@ -39,6 +39,13 @@ def _check_reached(error: float, tol: float):
         raise errors.PreconditionError(f"error reached {error:.3g} exceeds tol {tol:g}")
 
 
+def _strict_int(value, name: str) -> int:
+    """A config integer as given: a bool, float or string is not one."""
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 @dataclass
 class SystemConfig:
     N: int
@@ -52,13 +59,18 @@ class SystemConfig:
     @staticmethod
     def from_dict(data: dict, where: str = "<config>") -> "SystemConfig":
         try:
-            N = int(data["N"])
-            d = int(data["d"])
+            N = _strict_int(data["N"], "N")
+            d = _strict_int(data["d"], "d")
             forms = list(data["forms"])
-            tol = _check_tol(float(data.get("tol", 1e-9)), where)
-            seed = int(data.get("seed", 7))
-        except (KeyError, TypeError, ValueError) as exc:
+            tol = data.get("tol", 1e-9)
+            if isinstance(tol, bool) or not isinstance(tol, (int, float)):
+                raise TypeError(f"tol must be a real number, got {tol!r}")
+            tol = _check_tol(float(tol), where)
+            seed = _strict_int(data.get("seed", 7), "seed")
+        except (KeyError, TypeError) as exc:
             raise errors.InputError(f"{where}: missing or malformed field: {exc}")
+        except OverflowError:
+            raise errors.InputError(f"{where}: tol is an int beyond the float range")
         cfg = SystemConfig(
             N, d, [str(f) for f in forms],
             data.get("hypersurface"),

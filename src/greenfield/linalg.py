@@ -125,29 +125,27 @@ def det_fraction(rows: list[list]) -> Fraction:
 def solve_preferring_early_columns(rows, rhs):
     """Solve A z = b exactly, returning the solution supported on the
     lexicographically earliest independent column set (free columns are
-    set to zero).  `rhs` may be a single column or a list of columns;
-    returns None for an inconsistent system.
+    set to zero) for each column b in the list `rhs`; returns None for an
+    inconsistent system.
 
     Reads the reduced row echelon form of [A | B]: its pivots inside A
     are the earliest independent columns, and a pivot inside B means
     some b is not in the column span of A.
     """
-    single = not isinstance(rhs[0], (list, tuple))
-    bs = [rhs] if single else rhs
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
-    if any(len(b) != nrows for b in bs):
+    if any(len(b) != nrows for b in rhs):
         raise DimensionMismatch("rhs length mismatch")
-    tracker = IncrementalRank(ncols + len(bs))
+    tracker = IncrementalRank(ncols + len(rhs))
     for i, r in enumerate(rows):
-        tracker.add(list(r) + [b[i] for b in bs])
+        tracker.add(list(r) + [b[i] for b in rhs])
     if any(piv >= ncols for piv in tracker.rows):
         return None
-    sols = [[Fraction(0)] * ncols for _ in bs]
+    sols = [[Fraction(0)] * ncols for _ in rhs]
     for piv, row in tracker.rows.items():
         for z, x in zip(sols, row[ncols:]):
             z[piv] = x
-    return sols[0] if single else sols
+    return sols
 
 
 class IncrementalRank:

@@ -73,8 +73,6 @@ def macaulay_resultant(pm: PolyMap) -> Fraction:
     n = pm.nvars
     if n < 2:
         raise DomainError("resultant needs at least two variables")
-    if n == 2:
-        return MacaulayMatrix(pm).det_full()  # Sylvester determinant
     for prec in permutations(range(n)):
         mat = MacaulayMatrix(pm, prec)
         den = mat.det_minor()

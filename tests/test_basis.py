@@ -3,13 +3,14 @@ import math
 import random
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from greenfield import basis as basis_mod
-from greenfield.basis import (floor_G, gen_degrees, monomial_basis,
+from greenfield.basis import (degree_chain, floor_G, gen_degrees, monomial_basis,
                               section_dim, spanning_family, special_basis,
                               t1_floor, t2_floor)
 from greenfield.dynsys import DynSystem
@@ -281,3 +282,37 @@ def test_spanning_prefix_matches_a_greedy_rank_scan(case):
     assert all(pt is lifts[pos] for pos, pt in got)
     # no lift is pulled after the c(n)-th kept one
     assert len(pulled) == (expect[-1] + 1 if len(expect) == fam.cn else len(lifts))
+
+
+# (N, d) -> the largest n checked: the brute-force reference lists every
+# multiset of j generator factors, so n stays small
+_ENUMERATION_SYSTEMS = {(1, 2): 16, (1, 3): 18, (1, 4): 16, (2, 2): 8, (2, 3): 9}
+
+
+def _reference_elements(system, n, j):
+    """(eta, factors) of the products with j generator factors, by brute
+    force: every multiset of factors (i, k, j') of degree j' d^k <= n whose
+    cofactor degree lies in [0, d(N+1)), crossed with the cofactor
+    monomials, sorted by (cofactor degree, monomial position, factors)."""
+    d, N = system.degree, system.N
+    gens = sorted(((jp * d**k, (i, k, jp)) for k in range(1, n + 1) for jp in range(1, d)
+                   for i in range(N + 1) if jp * d**k <= n),
+                  key=lambda g: (-g[0], g[1][0]))
+    rows = []
+    for combo in combinations_with_replacement(gens, j):
+        rest = n - sum(m for m, _ in combo)
+        if 0 <= rest < d * (N + 1):
+            factors = tuple(f for _, f in combo)
+            rows += [(rest, pos, factors, eta)
+                     for pos, eta in enumerate(monomials_of_degree(N + 1, rest))]
+    return [(eta, factors) for _, _, factors, eta in sorted(rows)]
+
+
+@pytest.mark.parametrize("N, d", sorted(_ENUMERATION_SYSTEMS))
+def test_elements_for_j_match_a_brute_force_reference(N, d):
+    system = power_system(N, d)
+    for n in range(1, _ENUMERATION_SYSTEMS[N, d] + 1):
+        jmax = max(t2_floor(system, n), len(degree_chain(system, n)[0])) + 1
+        for j in range(jmax + 1):
+            got = [(el.eta, el.factors) for el in basis_mod._elements_for_j(system, n, j)]
+            assert got == _reference_elements(system, n, j), (n, j)

@@ -342,6 +342,23 @@ def test_config_validation(tmp_path):
         SystemConfig.from_dict({"N": 2, "d": 2, "forms": ["x0^2", "x1^2"]})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("N", 1.5), ("N", True), ("N", "1"), ("d", 2.9), ("d", False), ("d", "2"),
+    ("seed", True), ("seed", 3.0), ("seed", "3"), ("tol", True), ("tol", "1e-9"),
+    ("tol", 10**400),
+], ids=lambda v: v if isinstance(v, str) else repr(v)[:8])
+def test_config_fields_are_not_coerced(tmp_path, capsys, field, value):
+    """N, d and seed must be ints and tol a real number; nothing is
+    truncated or parsed out of a string."""
+    data = {"N": 1, "d": 2, "forms": ["x0^2 + 1/2*x1^2", "x1^2"], field: value}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(data))
+    for argv in (["resultant", str(path)], ["fekete", str(path), "--n", "2", "--budget", "10"]):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and field in captured.err
+
+
 def test_toml_config(tmp_path, capsys):
     pytest.importorskip("tomllib")
     path = tmp_path / "power.toml"

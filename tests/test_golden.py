@@ -35,6 +35,7 @@ CASES = {
     "escape_p2_bad": (["escape", HALF, "--point", "3/2,1", "--place", "p=2"], 0),
     "escape_p3_good": (["escape", HALF, "--point", "3/2,1", "--place", "p=3"], 0),
     "basis": (["basis", HALF, "--n", "8"], 0),
+    "basis_p2": (["basis", DEGENERATE, "--n", "8"], 0),
     "green_p2": (["green", HALF, "--n", "4", "--points", "0,1;1,1;2,1;3,1;1,2",
                   "--place", "p=2"], 0),
     "fekete": (["fekete", HALF, "--n", "8", "--budget", "600"], 0),

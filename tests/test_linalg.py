@@ -56,7 +56,7 @@ def test_det_fraction_row_scaling():
 
 def test_solver_prefers_early_columns():
     # x + y = 1 with columns (x, y): pivot on x, free y = 0
-    sol = solve_preferring_early_columns([[1, 1]], [1])
+    sol = solve_preferring_early_columns([[1, 1]], [[1]])[0]
     assert sol == [Fraction(1), Fraction(0)]
 
 
@@ -66,7 +66,7 @@ def test_solver_consistency_and_multi_rhs():
     for sol, b in zip(sols, [[1, 2], [0, 1]]):
         got = [sum(a[i][j] * sol[j] for j in range(3)) for i in range(2)]
         assert got == [Fraction(x) for x in b]
-    assert solve_preferring_early_columns([[1], [1]], [1, 2]) is None
+    assert solve_preferring_early_columns([[1], [1]], [[1, 2]]) is None
 
 
 def test_incremental_rank():

@@ -89,27 +89,24 @@ class SystemConfig:
 
     @staticmethod
     def load(path: str) -> "SystemConfig":
-        if path.endswith(".toml"):
-            try:
-                import tomllib
-            except ImportError:
+        try:
+            if path.endswith(".toml"):
                 try:
-                    import tomli as tomllib  # noqa: F401
+                    import tomllib
                 except ImportError:
-                    raise errors.InputError("TOML support needs Python 3.11+ or tomli")
-            with open(path, "rb") as fh:
-                try:
+                    try:
+                        import tomli as tomllib  # noqa: F401
+                    except ImportError:
+                        raise errors.InputError("TOML support needs Python 3.11+ or tomli")
+                with open(path, "rb") as fh:
                     data = tomllib.load(fh)
-                except tomllib.TOMLDecodeError as exc:
-                    raise errors.InputError(f"{path}: {exc}")
-        else:
-            with open(path, encoding="utf-8") as fh:
-                try:
+            else:
+                with open(path, encoding="utf-8") as fh:
                     data = json.load(fh)
-                except json.JSONDecodeError as exc:
-                    raise errors.InputError(
-                        f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}"
-                    )
+        except json.JSONDecodeError as exc:
+            raise errors.InputError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}")
+        except ValueError as exc:  # bad TOML or UTF-8, or an int over the digit limit
+            raise errors.InputError(f"{path}: {exc}")
         return SystemConfig.from_dict(data, path)
 
     def build(self) -> DynSystem:
@@ -121,7 +118,7 @@ class SystemConfig:
         if pm.N != self.N:
             raise errors.InputError(f"declared N={self.N} but got {pm.N}")
         hyp = parse_form(self.hypersurface, self.N + 1) if self.hypersurface else None
-        return DynSystem(pm, hyp, self.r_convention)
+        return DynSystem(pm, hyp)
 
 
 # A value such as "-1,1" or "-2,945/8" begins with the option prefix, and
@@ -197,8 +194,6 @@ def _emit(payload, out_path: str | None):
 
 
 def _write_csv(path: str, rows: list[dict]):
-    if not rows:
-        return
     fields = sorted({k for row in rows for k in row})
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=fields)
@@ -210,19 +205,25 @@ def _write_csv(path: str, rows: list[dict]):
 # Subcommands
 
 
+def _resolve_system(args):
+    """Replace the system file by the DynSystem it declares, and fill the
+    options left unset (--tol, --seed, --convention) from the file."""
+    cfg = SystemConfig.load(args.system)
+    args.system = cfg.build()
+    for name, value in (("tol", cfg.tol), ("seed", cfg.seed), ("convention", cfg.r_convention)):
+        if getattr(args, name, 0) is None:
+            setattr(args, name, value)
+
+
 def _cmd_resultant(args):
-    system = SystemConfig.load(args.system).build()
-    sys.stdout.write(str(system.resultant) + "\n")
+    sys.stdout.write(str(args.system.resultant) + "\n")
     return 0
 
 
 def _cmd_height(args):
-    cfg = SystemConfig.load(args.system)
-    system = cfg.build()
-    tol = args.tol if args.tol is not None else cfg.tol
     point = _parse_point(args.point)
-    h = canonical_height(system, point, tol)
-    _check_reached(h.error, tol)
+    h = canonical_height(args.system, point, args.tol)
+    _check_reached(h.error, args.tol)
     weil = weil_height(point)
     _emit(
         {
@@ -230,7 +231,7 @@ def _cmd_height(args):
             "point": [str(x) for x in point.lift],
             "canonical": _height_json(h),
             "weil": _height_json(weil),
-            "tol": tol,
+            "tol": args.tol,
         },
         args.out,
     )
@@ -238,20 +239,17 @@ def _cmd_height(args):
 
 
 def _cmd_escape(args):
-    cfg = SystemConfig.load(args.system)
-    system = cfg.build()
-    tol = args.tol if args.tol is not None else cfg.tol
     point = _parse_point(args.point)
     place = Place.parse(args.place)
-    rate = escape_rate(system, place, point, tol)
-    _check_reached(rate.arch_err, tol)
+    rate = escape_rate(args.system, place, point, args.tol)
+    _check_reached(rate.arch_err, args.tol)
     _emit(
         {
             "kind": "escape",
             "place": repr(place),
             "point": [str(x) for x in point.lift],
             **_local_json(rate),
-            "membership": membership_of(rate, tol).value,
+            "membership": membership_of(rate, args.tol).value,
         },
         args.out,
     )
@@ -259,8 +257,7 @@ def _cmd_escape(args):
 
 
 def _cmd_basis(args):
-    system = SystemConfig.load(args.system).build()
-    fam = special_basis(system, args.n)
+    fam = special_basis(args.system, args.n)
     _emit(
         {
             "kind": "basis",
@@ -291,9 +288,7 @@ def _select_basis(system, n, kind):
 
 
 def _cmd_green(args):
-    cfg = SystemConfig.load(args.system)
-    system = cfg.build()
-    tol = args.tol if args.tol is not None else cfg.tol
+    system, tol = args.system, args.tol
     place = Place.parse(args.place)
     basis = _select_basis(system, args.n, args.basis)
     points = [_parse_point(t) for t in args.points.split(";") if t.strip()]
@@ -304,7 +299,7 @@ def _cmd_green(args):
         "n": args.n,
         "c": len(basis.elements),
         "place": repr(place),
-        "convention": args.convention or system.r_convention,
+        "convention": args.convention,
         "green": _logmag_json(val),
     }
     if wit is not None:
@@ -314,20 +309,18 @@ def _cmd_green(args):
 
 
 def _cmd_fekete(args):
-    cfg = SystemConfig.load(args.system)
-    system = cfg.build()
-    seed = args.seed if args.seed is not None else cfg.seed
+    system = args.system
     arch = Place.archimedean()
     env = hadamard_envelope(system, args.n, julia_radius_log(system, arch), arch)
     basis = _select_basis(system, args.n, args.basis)
-    res = fekete_search(system, basis, args.budget, seed)
+    res = fekete_search(system, basis, args.budget, args.seed)
     _emit(
         {
             "kind": "fekete",
             "n": args.n,
             "c": len(basis.elements),
             "place": "inf",
-            "seed": seed,
+            "seed": args.seed,
             "budget": args.budget,
             "evaluations": res.evaluations,
             "witness_logd": None if res.witness is MINUS_INFINITY else res.witness.total(),
@@ -341,11 +334,8 @@ def _cmd_fekete(args):
 
 
 def _cmd_adelic(args):
-    cfg = SystemConfig.load(args.system)
-    system = cfg.build()
-    tol = args.tol if args.tol is not None else cfg.tol
-    seed = args.seed if args.seed is not None else cfg.seed
-    report = adelic_report(system, _parse_int_list(args.n, "degree"), args.budget, seed, tol)
+    report = adelic_report(args.system, _parse_int_list(args.n, "degree"), args.budget,
+                           args.seed, args.tol)
     _emit(report, args.out)
     if args.csv:
         _write_csv(args.csv, [
@@ -416,9 +406,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add_common(p, system=True):
-        if system:
-            p.add_argument("system", help="system file (JSON or TOML)")
+    def add_common(p):
+        p.add_argument("system", help="system file (JSON or TOML)")
         p.add_argument("--out", default=None, help="write JSON here instead of stdout")
 
     p = sub.add_parser("resultant", help="exact Macaulay resultant")
@@ -499,6 +488,8 @@ def run(argv) -> int:
     try:
         if getattr(args, "tol", None) is not None:
             _check_tol(args.tol, "--tol")
+        if hasattr(args, "system"):
+            _resolve_system(args)
         return args.fn(args)
     except errors.InputError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -14,9 +14,10 @@ The tail after K steps is at most max(|c_lo|, |c_hi|) / (d^K (d-1)).
 At a nonarchimedean place of good reduction the rate is exact:
 H_F(Q) = log||Q||_v - t log(p)/(d-1), where t is the minimal coefficient
 valuation (the scaling that normalizes F to unit resultant and unit
-coefficients).  At bad places the orbit is iterated in Z/p^W with
-valuation bookkeeping; at the archimedean place in floating point with
-per-step renormalization.
+coefficients).  At bad places the orbit is iterated once in Z/p^W with
+valuation bookkeeping; W is fixed by the lower growth constant, as each
+step loses at most c_lo/log p digits.  At the archimedean place it is
+iterated in floating point with per-step renormalization.
 """
 
 import enum
@@ -43,9 +44,6 @@ class InvarianceResult:
     holds: bool
     quotient: HomoForm | None  # Q with G∘F = Q·G on success
     remainder: HomoForm | None  # nonzero remainder on failure
-
-    def __bool__(self):
-        return self.holds
 
 
 @dataclass
@@ -99,11 +97,9 @@ class DynSystem:
     certificates, per-place growth constants and reduction types) is
     computed once and cached."""
 
-    def __init__(self, pm: PolyMap, hypersurface: HomoForm | None = None,
-                 r_convention: str = "invariant"):
+    def __init__(self, pm: PolyMap, hypersurface: HomoForm | None = None):
         self.map = pm
         self.hypersurface = hypersurface
-        self.r_convention = r_convention
         self._lock = threading.Lock()
         self._resultant = None
         self._iter_cache: dict[int, PolyMap] = {}
@@ -118,7 +114,7 @@ class DynSystem:
             if hypersurface.is_zero():
                 raise DomainError("zero hypersurface form")
             inv = check_invariance(pm, hypersurface)
-            if not inv:
+            if not inv.holds:
                 raise DomainError(
                     "hypersurface is not invariant under the map "
                     f"(remainder {inv.remainder!r})"
@@ -138,10 +134,6 @@ class DynSystem:
         return self.N == 1 and self.hypersurface is None
 
     @property
-    def macaulay_deg(self) -> int:
-        return macaulay_degree(self.degree, self.N)
-
-    @property
     def resultant(self) -> Fraction:
         with self._lock:
             if self._resultant is None:
@@ -158,7 +150,7 @@ class DynSystem:
         with self._lock:
             if self._certs is None:
                 n = self.map.nvars
-                e = self.macaulay_deg
+                e = macaulay_degree(self.degree, self.N)
                 targets = [
                     HomoForm.monomial(n, tuple(e if j == i else 0 for j in range(n)))
                     for i in range(n)
@@ -213,8 +205,6 @@ def check_invariance(pm: PolyMap, g: HomoForm) -> InvarianceResult:
 
 
 def _reduction_type(system: DynSystem, place: Place) -> ReductionInfo:
-    if system.resultant == 0:
-        raise NotAMorphism("not a morphism: Res(F) = 0")
     if place.is_archimedean:
         return ReductionInfo(False, 0, False)
     d, N = system.degree, system.N
@@ -279,30 +269,25 @@ def _escape_padic_bad(system: DynSystem, place: Place, lift: ProjPoint, tol: flo
     K = _tail_steps(d, bound, tol)
     max_m = max(1, int(c_lo_s / logp) + 1)
     W = 64 + (K + 2) * (max_m + 1)
-    while True:
-        acc = Fraction(0)
-        v = [x % p**W for x in v0]
-        prec = W
-        ok = True
-        for k in range(K):
-            w = [_term_sum(f, v) % p**prec for f in int_forms]
-            # entries lie in [0, p^prec), so a nonzero one has valuation < prec
-            m = min((place.valuation(x) for x in w if x), default=None)
-            if m is None:
-                ok = False
-                break
-            acc -= Fraction(m, d ** (k + 1))
-            q = p**m
-            v = [x // q for x in w]
-            prec -= m
-        if ok:
-            total = base + acc  # Fraction coefficient of log p
-            val = float(total) * logp
-            err = bound / (d**K * (d - 1)) + 4 * math.ulp(abs(val) + 1.0)
-            return LogMag.of_float(val, err)
-        W *= 2
-        if W > 1_000_000:
+    # log||F'(v)||_p >= -c_lo_s for primitive v, so each step drops m <= max_m
+    # digits and more than max_m remain: the residues' least valuation is m.
+    acc = Fraction(0)
+    v = [x % p**W for x in v0]
+    prec = W
+    for k in range(K):
+        w = [_term_sum(f, v) % p**prec for f in int_forms]
+        # entries lie in [0, p^prec), so a nonzero one has valuation < prec
+        m = min((place.valuation(x) for x in w if x), default=None)
+        if m is None:
             raise InternalCheckError("p-adic escape iteration lost all precision")
+        acc -= Fraction(m, d ** (k + 1))
+        q = p**m
+        v = [x // q for x in w]
+        prec -= m
+    total = base + acc  # Fraction coefficient of log p
+    val = float(total) * logp
+    err = bound / (d**K * (d - 1)) + 4 * math.ulp(abs(val) + 1.0)
+    return LogMag.of_float(val, err)
 
 
 def _escape_arch(system: DynSystem, lift: ProjPoint, tol: float) -> LogMag:

@@ -39,14 +39,12 @@ def eval_det_log(system: DynSystem, basis: BasisFamily, lifts, place: Place):
 
 
 def green_value(system: DynSystem, basis: BasisFamily, lifts, place: Place,
-                convention: str | None = None, tol: float = 1e-9):
+                convention: str = "invariant", tol: float = 1e-9):
     """The Green's function value
 
         (1/c) sum_i H(P_i)  -  (1/(n c)) log|det|  +  r(F)
 
     as a LogMag ledger, or PLUS_INFINITY on a singular tuple."""
-    if convention is None:
-        convention = system.r_convention
     det = eval_det_log(system, basis, lifts, place)
     if det is MINUS_INFINITY:
         return PLUS_INFINITY

@@ -416,10 +416,13 @@ def parse_form(text: str, nvars: int) -> HomoForm:
                 raise InputError(f"empty factor in term {tok!r}")
             m = _VAR_RE.match(factor)
             if m:
-                idx = int(m.group(1))
+                try:
+                    idx, e = int(m.group(1)), int(m.group(2) or 1)
+                except ValueError:  # more digits than int() converts
+                    raise InputError(f"variable index or exponent too long in {tok[:40]!r}")
                 if idx >= nvars:
                     raise InputError(f"variable x{idx} out of range (nvars={nvars})")
-                expo[idx] += int(m.group(2) or 1)
+                expo[idx] += e
             elif _COEF_RE.match(factor):
                 c *= parse_rational(factor)
             else:

@@ -33,6 +33,8 @@ def parse_rational(s: str) -> Fraction:
         return Fraction(s)
     except ZeroDivisionError:
         raise InputError(f"zero denominator: {s!r}")
+    except ValueError:  # more digits than int() converts
+        raise InputError(f"rational literal of {len(s)} characters is too long")
 
 
 # log(0) (never mixed into LogMag ledgers) and a Green value on a

@@ -368,6 +368,66 @@ def test_toml_config(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "1"
 
 
+_LONG = "1" + "0" * 5000  # longer than Python's 4,300-digit int conversion limit
+
+
+# name -> (system file suffix and text, or None; argv before the file)
+_LONG_INPUTS = {
+    "json_tol": (".json", '{"N": 1, "d": 2, "forms": ["x0^2", "x1^2"], "tol": %s}' % _LONG,
+                 ["resultant"]),
+    "toml_tol": (".toml", 'N = 1\nd = 2\nforms = ["x0^2", "x1^2"]\ntol = %s\n' % _LONG,
+                 ["resultant"]),
+    "coefficient": (".json", json.dumps({"N": 1, "d": 2,
+                                         "forms": [f"x0^2 + {_LONG}*x1^2", "x1^2"]}),
+                    ["resultant"]),
+    "exponent": (".json", json.dumps({"N": 1, "d": 2, "forms": [f"x0^{_LONG}", "x1^2"]}),
+                 ["resultant"]),
+    "variable": (".json", json.dumps({"N": 1, "d": 2, "forms": [f"x{_LONG}^2", "x1^2"]}),
+                 ["resultant"]),
+    "escape_point": (None, None, ["escape", HALF, "--point", f"{_LONG},1"]),
+    "lehmer_curve": (None, None, ["lehmer-scan", "--curve", f"{_LONG},1", "--point", "3,5"]),
+}
+
+
+@pytest.mark.parametrize("name", list(_LONG_INPUTS))
+def test_integer_literals_beyond_the_digit_limit_are_parse_errors(tmp_path, capsys, name):
+    suffix, text, argv = _LONG_INPUTS[name]
+    if suffix == ".toml":
+        pytest.importorskip("tomllib")
+    if text is not None:
+        path = tmp_path / f"{name}{suffix}"
+        path.write_text(text)
+        argv = argv + [str(path)]
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_green_reads_the_file_convention_unless_overridden(capsys, tmp_path):
+    from greenfield.basis import special_basis
+    from greenfield.green import green_value
+    from greenfield.pffield import Place
+    data = {"N": 1, "d": 2, "forms": ["2*x0^2 + x1^2", "x1^2"], "r_convention": "paper"}
+    path = tmp_path / "paper.json"
+    path.write_text(json.dumps(data))
+    system = SystemConfig.from_dict(data).build()
+    fam = special_basis(system, 2)
+    points = [cli._parse_point(t) for t in ("2,1", "3,1", "1/2,1")]
+    for place in ("inf", "p=2"):
+        argv = ["green", str(path), "--n", "2", "--points", "2,1;3,1;1/2,1", "--place", place]
+        for extra, convention in (([], "paper"), (["--convention", "invariant"], "invariant")):
+            code, out = run_json(capsys, argv + extra)
+            assert code == 0
+            payload = json.loads(out)
+            assert payload["convention"] == convention
+            want = green_value(system, fam, points, Place.parse(place), convention)
+            assert payload["green"] == cli._logmag_json(want)
+    # the two conventions differ where |Res|_v != 1
+    assert green_value(system, fam, points, Place.prime(2), "paper").total() != \
+        green_value(system, fam, points, Place.prime(2), "invariant").total()
+
+
 def test_composite_place_is_a_parse_error(capsys, power_cfg):
     assert run(["escape", power_cfg, "--point", "1,1", "--place", "p=6"]) == 2
     capsys.readouterr()

@@ -408,7 +408,7 @@ def test_green_value_above_the_envelope_bound(name, n):
     bounds = {}
     for place in ELKIES_PLACES:
         env = hadamard_envelope(system, n, julia_radius_log(system, place), place)
-        r = r_normalized(system.map, place, system.r_convention, resultant=system.resultant)
+        r = r_normalized(system.map, place, "invariant", resultant=system.resultant)
         bounds[place] = (r, env / (n * c))
 
     @settings(max_examples=15)

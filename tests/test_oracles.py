@@ -78,6 +78,47 @@ def test_padic_escape_vs_bruteforce_orbit():
                 assert abs(rate.total() - brute) <= tail(K) + 1e-12 + rate.arch_err
 
 
+@settings(max_examples=100, deadline=None)
+@given(p=st.sampled_from([2, 3, 5]), d=st.sampled_from([2, 3]),
+       sign=st.sampled_from([1, -1]), u=st.integers(1, 30), k=st.integers(1, 3),
+       a=st.integers(-20, 20), b=st.integers(-20, 20),
+       i=st.integers(-4, 4), j=st.integers(-4, 4))
+def test_bad_prime_escape_vs_exact_orbit(p, d, sign, u, k, a, b, i, j):
+    # x0^d + c x1^d with c = ±u/p^k is bad at p.  The exact orbit of
+    # primitive integer vectors under the integral model F' = s F gives
+    # each step's valuation drop m directly (F' of a primitive vector is
+    # p-integral and exactly divisible by p^m), which checks the premise
+    # that fixes the p-adic precision: m <= c_lo_s / log p.
+    if u % p == 0 or (a == 0 and b == 0):
+        return
+    c = Fraction(sign * u, p**k)
+    system = DynSystem(PolyMap([HomoForm(2, d, {(d, 0): Fraction(1), (0, d): c}),
+                                HomoForm.monomial(2, (0, d))]))
+    place = Place.prime(p)
+    assert not system.reduction(place).good
+    logp = math.log(p)
+    c_lo, c_hi = system.growth_constants(place)
+    s = c.denominator
+    c_lo_s = c_lo + _oracle_valuation(Fraction(s), p) * logp
+    pt = ProjPoint.exact([Fraction(a) * Fraction(p)**i, Fraction(b) * Fraction(p)**j])
+    # log||P||_p + sum_k d^-(k+1) log||F(Q_k)||_p, Q_k the normalized orbit
+    coeff = -min(_oracle_valuation(x, p) for x in pt.lift if x)
+    den = math.lcm(*(x.denominator for x in pt.lift))
+    v = [int(x * den) for x in pt.lift]
+    v = [x // math.gcd(*v) for x in v]
+    K = 12 if d == 2 else 8
+    for step in range(K):
+        v = [s * v[0] ** d + c.numerator * v[1] ** d, s * v[1] ** d]  # F'(v)
+        g = math.gcd(*v)
+        m = _oracle_valuation(Fraction(g), p)
+        assert m * logp <= c_lo_s + 1e-9, (step, m, c_lo_s)
+        coeff += Fraction(_oracle_valuation(Fraction(s), p) - m, d ** (step + 1))
+        v = [x // g for x in v]
+    tail = max(abs(c_lo), abs(c_hi)) / (d**K * (d - 1))
+    rate = escape_rate(system, place, pt, 1e-10)
+    assert abs(rate.total() - float(coeff) * logp) <= tail + rate.arch_err + 1e-12
+
+
 def test_resultant_composition_formula():
     # Res(F∘G) = ±Res(F)^(e^N) Res(G)^(d^(N+1)) for degrees d = deg F,
     # e = deg G (both exponents follow from counting coefficient degrees

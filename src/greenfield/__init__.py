@@ -9,7 +9,7 @@ heights, and the experiment drivers built on top of them.
 from .basis import (BasisFamily, GenElement, floor_G, gen_degrees,
                     monomial_basis, section_dim, spanning_family, special_basis)
 from .dynsys import (DynSystem, Membership, check_invariance, escape_rate,
-                     julia_membership)
+                     membership_of)
 from .errors import (DimensionMismatch, DomainError, GreenfieldError,
                      InputError, InternalCheckError, NotAMorphism,
                      PreconditionError, ResourceLimit)

@@ -297,7 +297,7 @@ def _cmd_green(args):
     payload = {
         "kind": "green",
         "n": args.n,
-        "c": len(basis.elements),
+        "c": basis.cn,
         "place": repr(place),
         "convention": args.convention,
         "green": _logmag_json(val),
@@ -318,13 +318,13 @@ def _cmd_fekete(args):
         {
             "kind": "fekete",
             "n": args.n,
-            "c": len(basis.elements),
+            "c": basis.cn,
             "place": "inf",
             "seed": args.seed,
             "budget": args.budget,
             "evaluations": res.evaluations,
             "witness_logd": None if res.witness is MINUS_INFINITY else res.witness.total(),
-            "envelope_logd": env / (args.n * len(basis.elements)),
+            "envelope_logd": env / (args.n * basis.cn),
             "log_det": res.log_det,
             "tuple": [[repr(z) for z in pt.lift] for pt in res.lifts],
         },

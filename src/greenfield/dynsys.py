@@ -336,13 +336,6 @@ def escape_rate(system: DynSystem, place: Place, lift: ProjPoint, tol: float) ->
     return _escape_padic_bad(system, place, lift, tol)
 
 
-def julia_membership(system: DynSystem, place: Place, lift: ProjPoint, tol: float) -> Membership:
-    """Filled-Julia membership via the sign of the escape rate; boundary
-    band reported as UNDETERMINED.  Exact at good nonarchimedean places:
-    the filled Julia set there is the polydisk H <= 0."""
-    return membership_of(escape_rate(system, place, lift, tol), tol)
-
-
 def membership_of(rate: LogMag, tol: float) -> Membership:
     """Classify an escape rate by its sign, with a band of width tol
     around 0 left UNDETERMINED unless the rate is an exact ledger."""

@@ -18,7 +18,7 @@ from sympy.polys.domains import ZZ
 from sympy.polys.factortools import dup_factor_list
 
 from .basis import BasisFamily, special_basis
-from .dynsys import DynSystem, escape_rate
+from .dynsys import DynSystem
 from .errors import DomainError, InternalCheckError, PreconditionError, ResourceLimit
 from .green import dbn_witness, fekete_search, hadamard_envelope, julia_radius_log
 from .heights import canonical_height, contributing_places
@@ -144,25 +144,6 @@ def _first_repeat(points) -> tuple[int, int] | None:
 # Admissible exact tuples
 
 
-def scale_into_julia(system: DynSystem, place: Place, lift: ProjPoint,
-                     tol: float = 1e-9) -> ProjPoint:
-    """Rescale an exact lift by a rational power so its escape rate is
-    certifiably <= 0 at the place: multiplying the lift by 2^-m at
-    infinity, or by p^m at p (|p^m|_p = p^-m), lowers the rate by m log 2
-    or m log p."""
-    rate = escape_rate(system, place, lift, tol)
-    if rate.total() + rate.arch_err <= 0:
-        return lift
-    b = 2 if place.is_archimedean else place.p
-    # the exact part of the ledger needs ceil(q) steps, its float part
-    # (with the error bound) a rounding margin
-    m = math.ceil(rate.padic.get(place.p, 0))
-    upper = rate.arch + rate.arch_err
-    if upper:
-        m += math.ceil(upper / math.log(b) + 1e-12) + 1
-    return lift.scaled(Fraction(1, 2**m) if place.is_archimedean else Fraction(b) ** m)
-
-
 # Grid points sample_julia_tuple tries before giving up.
 MAX_GRID_TRIES = 5000
 
@@ -176,16 +157,15 @@ def _grid_lifts(nvars: int):
                 yield ProjPoint.exact(list(tup) + [1])
 
 
-def sample_julia_tuple(system: DynSystem, basis: BasisFamily, place: Place,
-                       tol: float = 1e-9):
-    """A deterministic tuple of c(n) exact lifts inside the filled Julia
-    set at the place with a nonzero basis determinant, built greedily
-    from a small integer grid.  Only for systems without a hypersurface
-    (grid points need not lie on X otherwise)."""
+def sample_julia_tuple(system: DynSystem, basis: BasisFamily):
+    """A deterministic tuple of c(n) exact lifts with a nonzero basis
+    determinant, built greedily from a small integer grid; `dbn_witness`
+    takes any lifts, so none is scaled into the filled Julia set.  Only
+    for systems without a hypersurface (grid points need not lie on X
+    otherwise)."""
     if system.hypersurface is not None:
         raise PreconditionError("exact tuple sampling needs X = P^N")
-    lifts = (scale_into_julia(system, place, cand, tol)
-             for cand in islice(_grid_lifts(system.map.nvars), MAX_GRID_TRIES))
+    lifts = islice(_grid_lifts(system.map.nvars), MAX_GRID_TRIES)
     chosen = [lift for _, lift in basis.spanning_prefix(system, lifts)]
     if len(chosen) == basis.cn:
         return chosen
@@ -228,7 +208,7 @@ def _place_bounds(system: DynSystem, basis: BasisFamily, place: Place, tol: floa
     env = hadamard_envelope(system, n, julia_radius_log(system, place), place) / (n * basis.cn)
     try:
         w = arch_witness() if place.is_archimedean else dbn_witness(
-            system, basis, sample_julia_tuple(system, basis, place, tol), place, tol)
+            system, basis, sample_julia_tuple(system, basis), place, tol)
     except (PreconditionError, ResourceLimit) as exc:
         return env, None, str(exc)
     if w is MINUS_INFINITY:

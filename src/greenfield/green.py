@@ -4,9 +4,11 @@ diameter witnesses and envelopes, and the archimedean Fekete search.
 The transfinite diameter itself is a sup over all admissible tuples and
 is not computed: the module produces certified lower bounds (witnesses
 from explicit tuples) and certified upper bounds (a Hadamard envelope),
-and reports carry the pair.  Determinants come from `BasisFamily.det`
-(exact lifts) and `det_log` (numeric lifts, X = P^1 only, with a derived
-error bound).
+and reports carry the pair.  Green values and witnesses share one
+ledger E = (1/c) sum_i H(P_i) - (1/(n c)) log|det| over lifts on X:
+g = E + r(F) and the witness is -E.  Determinants come from
+`BasisFamily.det` (exact lifts) and `det_log` (numeric lifts, X = P^1
+only, with a derived error bound).
 """
 
 import cmath
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .basis import BasisFamily, _wedge_terms, section_dim, t2_floor
-from .dynsys import DynSystem, Membership, escape_rate, julia_membership
+from .dynsys import DynSystem, escape_rate
 from .errors import DomainError, PreconditionError
 from .homopoly import ProjPoint, evaluate
 from .macaulay import r_normalized
@@ -38,6 +40,23 @@ def eval_det_log(system: DynSystem, basis: BasisFamily, lifts, place: Place):
     return MINUS_INFINITY if det == 0 else abs_log(place, det)
 
 
+def _ledger(system: DynSystem, basis: BasisFamily, lifts, place: Place, tol: float):
+    """(1/c) sum_i H(P_i) - (1/(n c)) log|det|, each escape rate within
+    tol/c, or None on a singular tuple.  Every lift must lie on X."""
+    det = eval_det_log(system, basis, lifts, place)
+    if system.hypersurface is not None:
+        for i, pt in enumerate(lifts):
+            if evaluate(system.hypersurface, pt) != 0:
+                raise PreconditionError(f"lift {i} does not lie on the hypersurface")
+    if det is MINUS_INFINITY:
+        return None
+    c = basis.cn
+    acc = det.scale(Fraction(-1, basis.n * c))
+    for pt in lifts:
+        acc = acc + escape_rate(system, place, pt, tol / c).scale(Fraction(1, c))
+    return acc
+
+
 def green_value(system: DynSystem, basis: BasisFamily, lifts, place: Place,
                 convention: str = "invariant", tol: float = 1e-9):
     """The Green's function value
@@ -45,33 +64,22 @@ def green_value(system: DynSystem, basis: BasisFamily, lifts, place: Place,
         (1/c) sum_i H(P_i)  -  (1/(n c)) log|det|  +  r(F)
 
     as a LogMag ledger, or PLUS_INFINITY on a singular tuple."""
-    det = eval_det_log(system, basis, lifts, place)
-    if det is MINUS_INFINITY:
+    acc = _ledger(system, basis, lifts, place, tol)
+    if acc is None:
         return PLUS_INFINITY
-    c = len(basis.elements)
-    n = basis.n
-    acc = det.scale(Fraction(-1, n * c))
-    for pt in lifts:
-        rate = escape_rate(system, place, pt, tol / max(c, 1))
-        acc = acc + rate.scale(Fraction(1, c))
-    acc = acc + r_normalized(system.map, place, convention, resultant=system.resultant)
-    return acc
+    return acc + r_normalized(system.map, place, convention, resultant=system.resultant)
 
 
 def dbn_witness(system: DynSystem, basis: BasisFamily, lifts, place: Place,
                 tol: float = 1e-9):
-    """(1/(n c)) log|det| for an admissible tuple, a certified lower bound for
-    log d at the place.  Every lift must lie on X (exactly: numeric lifts
-    exist only on P^1) and not be certifiably outside the filled Julia set."""
-    det = eval_det_log(system, basis, lifts, place)
-    for i, pt in enumerate(lifts):
-        if julia_membership(system, place, pt, tol) is Membership.OUTSIDE:
-            raise PreconditionError(f"lift {i} lies outside the filled Julia set")
-        if system.hypersurface is not None and evaluate(system.hypersurface, pt) != 0:
-            raise PreconditionError(f"lift {i} does not lie on the hypersurface")
-    if det is MINUS_INFINITY:
-        return MINUS_INFINITY
-    return det.scale(Fraction(1, basis.n * basis.cn))
+    """(1/(n c)) log|det| - (1/c) sum_i H(P_i) = r(F) - g for lifts on X,
+    a certified lower bound for log d at the place: scaling each lift by
+    lambda_i with log|lambda_i| = -H(P_i) puts it on the boundary of the
+    filled Julia set K and multiplies det by prod lambda_i^n (at p the
+    value group of C_p is Q, so the bound holds as a supremum over K).
+    MINUS_INFINITY on a singular tuple."""
+    acc = _ledger(system, basis, lifts, place, tol)
+    return MINUS_INFINITY if acc is None else -acc
 
 
 def julia_radius_log(system: DynSystem, place: Place) -> float:
@@ -128,21 +136,18 @@ def fekete_search(system: DynSystem, basis: BasisFamily, budget: int,
     spread angles.  The start evaluates at least c(n) angles, so a budget
     below c(n) is a DomainError.
 
-    Deterministic given the seed.  Once budget >= c + max(4c, 48) fixes
-    the pool, the best objective value is nondecreasing in the budget;
-    below that the pool, and so the start, depends on the budget.  The
-    witness, (1/(n c)) log|det| of the returned lifts through
-    `eval_det_log`, is a certified lower bound for log d at the
-    archimedean place (MINUS_INFINITY if the determinant is not
-    certifiably nonzero), not a claim of optimality.  Its error also
-    carries where the lifts are: a lift with escape rate r > 0 lies off
-    K, and scaling it into K lowers the witness by r / c.  A lift is its
-    unit-circle point scaled by exp(-h), h its computed escape rate, so
-    |r| is at most that rate's error plus esc_tol for the scaling's rounding.
+    The ascent stops once the window falls below 1e-15 or a sweep
+    evaluates no new angle; the budget only caps it.  Deterministic given
+    the seed.  Once budget >= c + max(4c, 48) fixes the pool, the best
+    objective value is nondecreasing in the budget; below that the pool,
+    and so the start, depends on the budget.  The witness is
+    `dbn_witness` of the returned lifts, a certified lower bound for
+    log d at the archimedean place (MINUS_INFINITY if the determinant is
+    not certifiably nonzero), not a claim of optimality.
     """
     if not system.is_p1:
         raise PreconditionError("the angle chart needs X = P^1")
-    n, c = basis.n, basis.cn
+    c = basis.cn
     if budget < c:
         raise DomainError(f"budget {budget} is below c(n) = {c}")
     rng = random.Random(seed)
@@ -150,7 +155,7 @@ def fekete_search(system: DynSystem, basis: BasisFamily, budget: int,
     log_det_c = abs_log(arch, basis._coeff_det).total()
     evals = 0
     esc_tol = 1e-12
-    cache: dict[float, tuple] = {}  # theta -> (lift with escape rate 0, |rate| bound)
+    cache: dict[float, ProjPoint] = {}  # theta -> lift scaled to escape rate 0
 
     def lift_at(theta):
         nonlocal evals
@@ -159,8 +164,8 @@ def fekete_search(system: DynSystem, basis: BasisFamily, budget: int,
             evals += 1
             pt = ProjPoint.of_numeric([cmath.exp(1j * theta), 1.0])
             rate = escape_rate(system, arch, pt, esc_tol)
-            got = cache[theta] = (pt.scaled(cmath.exp(-rate.total())), rate.arch_err + esc_tol)
-        return got[0].lift
+            got = cache[theta] = pt.scaled(cmath.exp(-rate.total()))
+        return got.lift
 
     def log_det_of(ths):
         wedges = [abs(a - b) for a, b in _wedge_terms([lift_at(th) for th in ths])]
@@ -203,15 +208,9 @@ def fekete_search(system: DynSystem, basis: BasisFamily, budget: int,
                     thetas, current = cand, val
                     improved = True
         window *= 0.9 if improved else 0.5
-        if window < 1e-15:
-            window = math.pi / max(c, 2)
-        if evals == sweep_start:
-            break  # every probe hit the cache; nothing new to evaluate
+        if window < 1e-15 or evals == sweep_start:
+            break  # converged, or every probe hit the cache
 
-    lifts = [cache[th][0] for th in thetas]
-    det = eval_det_log(system, basis, lifts, arch)
-    if det is MINUS_INFINITY:
-        return FeketeResult(thetas, lifts, MINUS_INFINITY, current, evals)
-    off_k = math.fsum(cache[th][1] for th in thetas) / c
-    witness = det.scale(Fraction(1, n * c)) + LogMag.of_float(0.0, off_k)
-    return FeketeResult(thetas, lifts, witness, current, evals)
+    lifts = [cache[th] for th in thetas]
+    return FeketeResult(thetas, lifts, dbn_witness(system, basis, lifts, arch, esc_tol),
+                        current, evals)

@@ -17,16 +17,15 @@ from greenfield.dynsys import DynSystem, escape_rate
 from greenfield.errors import PreconditionError
 from greenfield.experiments import (EllipticCurve, LattesSystem, duplication_map,
                                     lehmer_scan, multiples_search,
-                                    sample_julia_tuple, scale_into_julia,
-                                    transfin_trend)
-from greenfield.green import (eval_det_log, fekete_search, hadamard_envelope,
-                              julia_radius_log)
+                                    sample_julia_tuple, transfin_trend)
+from greenfield.green import (dbn_witness, eval_det_log, fekete_search,
+                              hadamard_envelope, julia_radius_log)
 from greenfield.heights import canonical_height
 from greenfield.homopoly import (HomoForm, PolyMap, ProjPoint, evaluate,
                                  monomials_of_degree, parse_map)
 from greenfield.linalg import det_fraction
 from greenfield.macaulay import macaulay_resultant
-from greenfield.pffield import (Place, abs_log, log_abs, product_formula_sum,
+from greenfield.pffield import (MINUS_INFINITY, Place, abs_log, product_formula_sum,
                                 support)
 
 ARCH = Place.archimedean()
@@ -248,29 +247,19 @@ def test_criterion_05_hadamard_envelope():
             r_log = julia_radius_log(half, place)
             env = hadamard_envelope(half, n, r_log, place)
             env_sum += env / (n * c)
-            # sampled exact tuples in the filled Julia set
-            tuples = [sample_julia_tuple(half, basis, place)]
+            # the witness of a sampled and of random rational tuples: each
+            # is the tuple rescaled onto the boundary of the filled Julia set
+            tuples = [sample_julia_tuple(half, basis)]
             for _ in range(2):
-                lifts = []
-                while len(lifts) < c:
-                    cand = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
-                            Fraction(1)]
-                    lifts.append(scale_into_julia(half, place,
-                                                  ProjPoint.exact(cand)))
-                tuples.append(lifts)
+                xs = set()
+                while len(xs) < c:  # distinct points: a repeat makes det vanish
+                    xs.add(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+                tuples.append([ProjPoint.exact([x, 1]) for x in sorted(xs)])
             for lifts in tuples:
-                rows = [[el.evaluate_at(half, pt, {}) for el in basis.elements]
-                        for pt in lifts]
-                det = det_fraction(rows)
-                if det == 0:
-                    continue
-                if place.is_archimedean:
-                    logdet = log_abs(det)[0]
-                else:
-                    logdet = -place.valuation(det) * math.log(place.p)
-                if logdet > env + 1e-6:
-                    problems.append(
-                        f"log|det| = {logdet} exceeds envelope {env} at n={n}, {place}")
+                wit = dbn_witness(half, basis, lifts, place)
+                if wit is not MINUS_INFINITY and wit.total() > env / (n * c) + 1e-6:
+                    problems.append(f"witness {wit.total()} exceeds envelope "
+                                    f"{env / (n * c)} at n={n}, {place}")
         scaled_env_sums.append(env_sum)
         fitted.append(env_sum * n / math.log(n))
     if not all(scaled_env_sums[i + 1] < scaled_env_sums[i]

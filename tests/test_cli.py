@@ -105,6 +105,20 @@ def test_green_command(capsys, power_cfg):
     assert payload["green"]["total"] == pytest.approx(-0.5 * math.log(2), abs=1e-9)
 
 
+def test_green_rejects_points_off_the_hypersurface(capsys, tmp_path):
+    path = tmp_path / "conic.json"
+    path.write_text(json.dumps({"N": 2, "d": 2, "forms": ["x0^2", "x1^2", "x2^2"],
+                                "hypersurface": "x0*x2 - x1^2"}))
+    argv = ["green", str(path), "--n", "1", "--place", "inf", "--points"]
+    code, out = run_json(capsys, argv + ["1,0,0;0,0,1;1,1,1"])
+    assert code == 0 and json.loads(out)["c"] == 3
+    for extra in ([], ["--witness"]):
+        assert run(argv + ["1,0,0;0,0,1;1,2,3"] + extra) == 1  # 1*3 - 2^2 != 0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: lift 2 does not lie on the hypersurface\n"
+
+
 def test_fekete_deterministic_output(capsys, power_cfg):
     argv = ["fekete", power_cfg, "--n", "2", "--budget", "1500", "--seed", "9",
             "--basis", "monomial"]

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from greenfield.dynsys import (DynSystem, Membership, check_invariance, divmod_form,
-                               escape_rate, julia_membership)
+                               escape_rate, membership_of)
 from greenfield.errors import DimensionMismatch, DomainError, NotAMorphism
 from greenfield.homopoly import ProjPoint, parse_form, parse_map
 from greenfield.pffield import Place
@@ -132,18 +132,19 @@ def test_escape_rejects_bad_args(power_map, half_map):
             escape_rate(half_map, place, ProjPoint.exact([3, 1, 5]), 1e-9)
 
 
+def _membership(system, place, pt):
+    return membership_of(escape_rate(system, place, pt, 1e-9), 1e-9)
+
+
 def test_membership_examples(power_map):
-    assert julia_membership(power_map, ARCH, ProjPoint.exact([1, 1]), 1e-9) \
-        is Membership.UNDETERMINED
-    assert julia_membership(power_map, ARCH, ProjPoint.exact([2, 1]), 1e-9) \
-        is Membership.OUTSIDE
-    assert julia_membership(power_map, ARCH, ProjPoint.exact([Fraction(1, 2), Fraction(1, 3)]), 1e-9) \
+    assert _membership(power_map, ARCH, ProjPoint.exact([1, 1])) is Membership.UNDETERMINED
+    assert _membership(power_map, ARCH, ProjPoint.exact([2, 1])) is Membership.OUTSIDE
+    assert _membership(power_map, ARCH, ProjPoint.exact([Fraction(1, 2), Fraction(1, 3)])) \
         is Membership.INSIDE
-    assert julia_membership(power_map, Place.prime(2), ProjPoint.exact([Fraction(1, 2), 1]), 1e-9) \
+    assert _membership(power_map, Place.prime(2), ProjPoint.exact([Fraction(1, 2), 1])) \
         is Membership.OUTSIDE
     # exact boundary at a good place is inside (polydisk is closed)
-    assert julia_membership(power_map, Place.prime(2), ProjPoint.exact([1, 1]), 1e-9) \
-        is Membership.INSIDE
+    assert _membership(power_map, Place.prime(2), ProjPoint.exact([1, 1])) is Membership.INSIDE
 
 
 def test_reduction_type_examples(power_map):
@@ -175,10 +176,10 @@ def test_good_reduction_polydisk_agreement(power_map):
     place = Place.prime(7)
     for _ in range(200):
         pt = rand_lift(rng, bound=20)
-        member = julia_membership(power_map, place, pt, 1e-9)
+        got = _membership(power_map, place, pt)
         norm_ord = min(place.valuation(x) for x in pt.lift if x != 0)
         inside = norm_ord >= 0  # log||lift||_7 <= 0
-        assert member is (Membership.INSIDE if inside else Membership.OUTSIDE)
+        assert got is (Membership.INSIDE if inside else Membership.OUTSIDE)
 
 
 def test_growth_constants_bound_one_step(power_map, chebyshev, half_map):

@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 from sympy import Poly, Symbol, factor_list
 
 from greenfield.basis import BasisFamily, monomial_basis, section_dim, special_basis
-from greenfield.dynsys import DynSystem
+from greenfield.dynsys import DynSystem, escape_rate
 from greenfield import cli, experiments
 from greenfield.errors import DomainError, InternalCheckError, PreconditionError
 from greenfield.experiments import (EllipticCurve, LattesSystem, adelic_report,
                                     duplication_map, lehmer_scan,
-                                    multiples_search, roots_of_unity_tuple,
-                                    sample_julia_tuple, scale_into_julia,
+                                    multiples_search, report_places,
+                                    roots_of_unity_tuple, sample_julia_tuple,
                                     transfin_trend)
 from greenfield.green import dbn_witness, eval_det_log
 from greenfield.homopoly import ProjPoint, evaluate, form_str, parse_form, parse_map
@@ -150,10 +150,9 @@ def test_multiples_search_on_p1_builds_no_rows(mordell_lattes, monkeypatch):
 def test_sample_julia_tuple_on_p1_builds_no_rows(half_map, monkeypatch):
     basis = special_basis(half_map, 8)
     monkeypatch.setattr(BasisFamily, "row", _no_rows)
-    for place in (ARCH, Place.prime(2)):
-        lifts = sample_julia_tuple(half_map, basis, place)
-        assert len(lifts) == basis.cn
-        assert basis.det(half_map, lifts) != 0
+    lifts = sample_julia_tuple(half_map, basis)
+    assert len(lifts) == basis.cn
+    assert basis.det(half_map, lifts) != 0
 
 
 def test_multiples_search_reports_rank_failure(mordell_lattes):
@@ -163,33 +162,46 @@ def test_multiples_search_reports_rank_failure(mordell_lattes):
         multiples_search(mordell_lattes.system, orbit, 2)
 
 
-def test_scale_into_julia(power_map, half_map):
-    for system, place in ((power_map, ARCH), (power_map, Place.prime(2)),
-                          (half_map, ARCH), (half_map, Place.prime(2))):
-        lift = ProjPoint.exact([7, 1])
-        from greenfield.dynsys import Membership, julia_membership
-        scaled = scale_into_julia(system, place, lift, 1e-9)
-        assert julia_membership(system, place, scaled, 1e-9) is not Membership.OUTSIDE
-
-
-def test_scale_into_julia_exact_ledger_takes_ceil():
-    # (x^2/2, y^2/2) has good reduction at 2 with t = -1, so [7:1] has the
-    # exact rate log 2 there and one factor 2 brings it to 0
-    system = DynSystem(parse_map(["1/2*x0^2", "1/2*x1^2"]))
-    place = Place.prime(2)
-    assert system.reduction(place).good
-    lift = ProjPoint.exact([7, 1])
-    assert scale_into_julia(system, place, lift, 1e-9).lift == lift.scaled(2).lift
-
-
 def test_sample_julia_tuple(power_map, half_map):
     basis = monomial_basis(1, 3)
     for system in (power_map, half_map):
+        lifts = sample_julia_tuple(system, basis)
+        assert len(lifts) == 4
         for place in (ARCH, Place.prime(2), Place.prime(5)):
-            lifts = sample_julia_tuple(system, basis, place)
-            assert len(lifts) == 4
             wit = dbn_witness(system, basis, lifts, place)
             assert wit is not MINUS_INFINITY
+
+
+def _scaled_into_k(system, place, lift, tol):
+    """The lift rescaled by a whole power of 2 (at infinity) or p so its
+    escape rate is certifiably <= 0, with a rounding margin for a float
+    ledger: how grid tuples were put into the filled Julia set before
+    `dbn_witness` took lifts off it."""
+    rate = escape_rate(system, place, lift, tol)
+    if rate.total() + rate.arch_err <= 0:
+        return lift
+    b = 2 if place.is_archimedean else place.p
+    m = math.ceil(rate.padic.get(place.p, 0))
+    upper = rate.arch + rate.arch_err
+    if upper:
+        m += math.ceil(upper / math.log(b) + 1e-12) + 1
+    return lift.scaled(Fraction(1, 2**m) if place.is_archimedean else Fraction(b) ** m)
+
+
+def test_grid_witness_is_no_lower_than_with_lifts_scaled_into_k(half_map):
+    # scaling a lift by lambda with log|lambda| <= -H(P) moves (1/(n c)) log|det|
+    # by log|lambda| / c, which the ledger's -H(P) / c bounds from above
+    bad = [p for p in report_places(half_map) if not p.is_archimedean]
+    assert bad == [Place.prime(2)]
+    for n in (4, 8, 16):
+        basis = special_basis(half_map, n)
+        lifts = sample_julia_tuple(half_map, basis)
+        for place in bad:
+            new = dbn_witness(half_map, basis, lifts, place)
+            inside = [_scaled_into_k(half_map, place, pt, 1e-9) for pt in lifts]
+            old = eval_det_log(half_map, basis, inside, place).scale(
+                Fraction(1, n * basis.cn))
+            assert old.total() <= new.total()
 
 
 def test_adelic_report_power_map(power_map):

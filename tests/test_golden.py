@@ -38,6 +38,8 @@ CASES = {
     "basis_p2": (["basis", DEGENERATE, "--n", "8"], 0),
     "green_p2": (["green", HALF, "--n", "4", "--points", "0,1;1,1;2,1;3,1;1,2",
                   "--place", "p=2"], 0),
+    "green_witness_p2": (["green", HALF, "--n", "4", "--points", "0,1;1,1;2,1;3,1;1,2",
+                          "--place", "p=2", "--witness"], 0),
     "fekete": (["fekete", HALF, "--n", "8", "--budget", "600"], 0),
     "adelic_report": (["adelic-report", HALF, "--n", "4,8", "--budget", "300",
                        "--csv", "{csv}"], 0),

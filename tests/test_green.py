@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from greenfield.basis import BasisFamily, GenElement, monomial_basis, special_basis
-from greenfield.dynsys import DynSystem, escape_rate
+from greenfield.dynsys import DynSystem
 from greenfield.errors import DimensionMismatch, DomainError, PreconditionError
 from greenfield.experiments import roots_of_unity_tuple
 from greenfield.green import (dbn_witness, eval_det_log, fekete_search,
@@ -236,15 +236,58 @@ def test_dbn_witness_examples(power_map):
     assert wit is MINUS_INFINITY
 
 
-def test_dbn_witness_preconditions(power_map):
-    mb1 = monomial_basis(1, 1)
-    with pytest.raises(PreconditionError, match="lift 1"):
-        dbn_witness(power_map, mb1, [exact([1, 1]), exact([3, 1])], ARCH)
+def test_dbn_witness_preconditions():
     line = DynSystem(parse_map(["x0^2", "x1^2"]), parse_form("x0 - x1", 2))
     fam = special_basis(line, 2)
     bad = [exact([1, 1])] * (len(fam.elements) - 1) + [exact([Fraction(1, 2), 1])]
     with pytest.raises(PreconditionError, match="hypersurface"):
         dbn_witness(line, fam, bad, Place.prime(3))
+
+
+# P^1 maps with good and bad reduction at 2, 3 and 7
+WITNESS_MAPS = [DynSystem(parse_map(forms)) for forms in (
+    ["x0^2", "x1^2"], ["x0^2 + 1/2*x1^2", "x1^2"], ["x0^2 - 7/6*x1^2", "x1^2"],
+    ["x0^3 + 2*x1^3", "3*x1^3"], ["x0^2 - 7*x0*x1", "49*x1^2"])]
+WITNESS_PLACES = [ARCH, Place.prime(2), Place.prime(3), Place.prime(7)]
+_small = st.fractions(-12, 12, max_denominator=12)
+
+
+@st.composite
+def _witness_case(draw):
+    system = draw(st.sampled_from(WITNESS_MAPS))
+    n = draw(st.integers(1, 3))
+    xs = draw(st.lists(_small, min_size=n + 1, max_size=n + 1, unique=True))
+    lams = draw(st.lists(_small.filter(bool), min_size=n + 1, max_size=n + 1))
+    return system, monomial_basis(1, n), [exact([x, 1]) for x in xs], lams
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_witness_case(), place=st.sampled_from(WITNESS_PLACES))
+def test_dbn_witness_is_lift_invariant(case, place):
+    system, basis, lifts, lams = case
+    tol = 1e-10
+    base = dbn_witness(system, basis, lifts, place, tol)
+    moved = dbn_witness(system, basis, [pt.scaled(lam) for pt, lam in zip(lifts, lams)],
+                        place, tol)
+    if not place.is_archimedean and system.reduction(place).good:
+        assert moved == base  # exact ledgers: the scaling cancels exactly
+    else:
+        # at a bad prime the rates are floats, so the scaling moves from the
+        # determinant's exact part into the rates' float part
+        assert abs(moved.total() - base.total()) <= moved.arch_err + base.arch_err
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_witness_case(), place=st.sampled_from(WITNESS_PLACES),
+       convention=st.sampled_from(["paper", "invariant"]))
+def test_dbn_witness_is_r_minus_the_green_value(case, place, convention):
+    system, basis, lifts, _ = case
+    tol = 1e-10
+    r = r_normalized(system.map, place, convention, resultant=system.resultant)
+    wit = dbn_witness(system, basis, lifts, place, tol)
+    want = r - green_value(system, basis, lifts, place, convention, tol)
+    assert wit.padic == want.padic
+    assert abs(wit.total() - want.total()) <= wit.arch_err + want.arch_err
 
 
 def test_dbn_witness_nonpositive_at_good_places(power_map):
@@ -334,19 +377,10 @@ def test_fekete_witness_is_certified_from_its_lifts(name, seed):
     basis = special_basis(system, 8)
     n, c = 8, basis.cn
     res = fekete_search(system, basis, 600, seed=seed)
-    det = eval_det_log(system, basis, res.lifts, ARCH).scale(Fraction(1, n * c))
-    assert res.witness.total() == det.total()
+    assert res.witness == dbn_witness(system, basis, res.lifts, ARCH, 1e-12)
+    # the lifts were scaled to escape rate 0, so the witness is the
+    # search's objective over (n c) up to the escape rates' errors
     assert res.witness.total() == pytest.approx(res.log_det / (n * c), abs=1e-12)
-    # scaled by e^(-r), r the upper end of its escape rate, each lift lies in
-    # K; the witness's lower end must not exceed theirs
-    ups = [max(0.0, r.total() + r.arch_err)
-           for r in (escape_rate(system, ARCH, pt, 1e-12) for pt in res.lifts)]
-    inside = eval_det_log(system, basis, [pt.scaled(math.exp(-r)) for pt, r in
-                                          zip(res.lifts, ups)], ARCH).scale(Fraction(1, n * c))
-    assert res.witness.total() - res.witness.arch_err <= inside.total()
-    # each lift is charged its search-time escape rate's error (about
-    # 1.05e-12 here) plus the search's escape tol, 1e-12, for the rounding
-    # of the scaling
     assert res.witness.arch_err < 2.5e-12
 
 

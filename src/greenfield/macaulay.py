@@ -4,25 +4,29 @@ and elimination certificates.
 For N+1 forms of common degree d in N+1 variables the classical
 construction works at the critical degree e = (N+1)(d-1)+1: every
 degree-e monomial x^alpha is divisible by x_i^d for at least one i, the
-first such i (in a chosen variable precedence) selects the row
-(x^alpha / x_i^d) * F_i, and the resultant is det(D) / det(D') where D'
-is the minor on the monomials divisible by x_i^d for two or more i.
-For N = 1 the minor is empty and D is the Sylvester matrix, so the
-quotient degenerates to a single determinant.  The normalization is
-Res(x0^d, ..., xN^d) = 1.
+first such i selects the row (x^alpha / x_i^d) * F_i, and the resultant
+is det(D) / det(D') where D' is the minor on the monomials divisible by
+x_i^d for two or more i (Cox, Little & O'Shea, *Using Algebraic
+Geometry*, ch. 3 §4).  For N = 1 the minor is empty and D is the
+Sylvester matrix, so the quotient degenerates to a single determinant.
+The normalization is Res(x0^d, ..., xN^d) = 1.
+
+The minor D' can vanish while Res(F) does not.  Since
+Res(B·(F∘A)) = det(B)^(d^N) det(A)^(d^(N+1)) Res(F), integer changes of
+variables with det A = det B = 1 keep the resultant and move the minor.
+When every one tried leaves it singular, Macaulay's theorem decides:
+Res(F) = 0 iff some x_i^e lies outside the degree-e part of the ideal
+(F).
 """
 
 import math
+import random
 from fractions import Fraction
-from itertools import permutations
 
 from .errors import DimensionMismatch, DomainError, InternalCheckError, NotAMorphism
 from .homopoly import HomoForm, PolyMap, monomials_of_degree
-from .linalg import det_fraction, solve_preferring_early_columns
+from .linalg import bareiss_det, solve_preferring_early_columns
 from .pffield import LogMag, Place, abs_log
-
-# Size guard for the perturbation fallback (matrix side length).
-PERTURBATION_SIZE_LIMIT = 130
 
 
 def macaulay_degree(d: int, N: int) -> int:
@@ -30,15 +34,17 @@ def macaulay_degree(d: int, N: int) -> int:
 
 
 class MacaulayMatrix:
-    """The square Macaulay matrix of a map at degree e, for a given
-    variable precedence; `reduced[r]` marks rows/columns labeled by
+    """The square Macaulay matrix of a map at degree e, each form scaled
+    to integer coefficients by the lcm s_i of its denominators, so that
+    Res(pm) = det_full() / (det_minor() * scale) with scale the product
+    of the s_i^(d^N); `reduced[r]` marks rows/columns labeled by
     monomials divisible by a single x_i^d."""
 
-    def __init__(self, pm: PolyMap, precedence=None):
+    def __init__(self, pm: PolyMap):
         d = pm.degree
         n = pm.nvars
-        if precedence is None:
-            precedence = range(n)
+        lcms = [math.lcm(*(c.denominator for c in f.coeffs.values())) for f in pm.forms]
+        self.scale = math.prod(lcms) ** d ** (n - 1)
         self.e = macaulay_degree(d, n - 1)
         self.columns = monomials_of_degree(n, self.e)
         col_index = {m: j for j, m in enumerate(self.columns)}
@@ -48,76 +54,69 @@ class MacaulayMatrix:
             big = [i for i in range(n) if alpha[i] >= d]
             if not big:
                 raise InternalCheckError("degree-e monomial with no x_i^d divisor")
-            pick = next(i for i in precedence if alpha[i] >= d)
+            pick = big[0]
             mu = tuple(a - (d if i == pick else 0) for i, a in enumerate(alpha))
             self.reduced.append(len(big) == 1)
-            row = [Fraction(0)] * len(self.columns)
+            row = [0] * len(self.columns)
             for expo, c in pm.forms[pick].coeffs.items():
                 tgt = tuple(a + b for a, b in zip(expo, mu))
-                row[col_index[tgt]] = c
+                row[col_index[tgt]] = c.numerator * (lcms[pick] // c.denominator)
             rows.append(row)
         self.rows = rows
 
-    def det_full(self) -> Fraction:
-        return det_fraction(self.rows)
+    def det_full(self) -> int:
+        return bareiss_det(self.rows)
 
-    def det_minor(self) -> Fraction:
+    def det_minor(self) -> int:
         keep = [j for j, red in enumerate(self.reduced) if not red]
         sub = [[self.rows[i][j] for j in keep] for i in keep]
-        return det_fraction(sub)
+        return bareiss_det(sub)
 
 
 def macaulay_resultant(pm: PolyMap) -> Fraction:
     """Macaulay resultant of the coordinate forms; zero iff they share a
-    projective zero.  Satisfies Res(cF) = c^((N+1)d^N) Res(F)."""
+    projective zero.  Satisfies Res(cF) = c^((N+1)d^N) Res(F).
+
+    The quotient is taken at the first nonzero minor among F and the
+    changes of variables for seeds 1 .. (N+1)! - 1.  If all of them are
+    singular, Res(F) = 0 exactly when some x_i^e is not a combination
+    sum eta_j F_j; if every x_i^e is one, it raises rather than guess."""
     n = pm.nvars
     if n < 2:
         raise DomainError("resultant needs at least two variables")
-    for prec in permutations(range(n)):
-        mat = MacaulayMatrix(pm, prec)
+    for k in range(math.factorial(n)):
+        mat = MacaulayMatrix(_change_of_variables(pm, k) if k else pm)
         den = mat.det_minor()
-        if den != 0:
-            return mat.det_full() / den
-    return _resultant_by_perturbation(pm)
+        if den:
+            return Fraction(mat.det_full(), den * mat.scale)
+    e = macaulay_degree(pm.degree, n - 1)
+    powers = [HomoForm.monomial(n, [e * (j == i) for j in range(n)]) for i in range(n)]
+    if _cofactors(pm, powers)[1] is None:
+        return Fraction(0)
+    raise InternalCheckError("Res(F) != 0 but the Macaulay minor vanished "
+                             "under every change of variables tried")
 
 
-def _resultant_by_perturbation(pm: PolyMap) -> Fraction:
-    """Degenerate specializations where the Macaulay minor vanishes for
-    every variable precedence: perturb toward the power map G = (x_i^d).
-    D'(G) is the identity, so det D'(F + tG) is monic of degree |D'| in t
-    and vanishes at no more than |D'| values of t, and Res(F + tG) has
-    degree at most (N+1)d^N in t.  The quotient det D / det D' at
-    (N+1)d^N + 1 integers t >= 1 with a nonzero minor interpolates
-    Res(F + tG) exactly; its value at t = 0 is Res(F)."""
-    n, d = pm.nvars, pm.degree
-    size = math.comb(macaulay_degree(d, n - 1) + n - 1, n - 1)
-    if size > PERTURBATION_SIZE_LIMIT:
-        raise InternalCheckError(
-            "Macaulay quotient degenerate and the matrix is too large for "
-            f"the perturbation fallback ({size} columns)"
-        )
-    power = [HomoForm.monomial(n, tuple(d if j == i else 0 for j in range(n)))
-             for i in range(n)]
-    nodes = n * d ** (n - 1) + 1
-    ts, vals = [], []
-    t = 0
-    while len(ts) < nodes:
-        t += 1
-        mat = MacaulayMatrix(PolyMap([f + g.scale(t) for f, g in zip(pm.forms, power)]))
-        if t > nodes + mat.reduced.count(False):
-            raise InternalCheckError("perturbed Macaulay minor vanished too often")
-        den = mat.det_minor()
-        if den != 0:
-            ts.append(t)
-            vals.append(mat.det_full() / den)
-    # Lagrange interpolation at t = 0
-    res = Fraction(0)
-    for i, (ti, vi) in enumerate(zip(ts, vals)):
-        for j, tj in enumerate(ts):
-            if j != i:
-                vi *= Fraction(tj, tj - ti)
-        res += vi
-    return res
+def _change_of_variables(pm: PolyMap, k: int) -> PolyMap:
+    """B·(F∘A) with A = L·U, where L and B are unit lower and U unit
+    upper triangular with the entries off the diagonal drawn from
+    [-k, k] by `random.Random(k)`: det A = det B = 1, so the resultant
+    is unchanged."""
+    n = pm.nvars
+    rng = random.Random(k)
+
+    def unit_triangular(lower):
+        return [[1 if i == j else rng.randint(-k, k) if (j < i) == lower else 0
+                 for j in range(n)] for i in range(n)]
+
+    L, U, B = unit_triangular(True), unit_triangular(False), unit_triangular(True)
+    # x_i -> sum_j A_ij x_j
+    xs = [HomoForm(n, 1, {tuple(int(t == j) for t in range(n)):
+                          sum(L[i][t] * U[t][j] for t in range(n)) for j in range(n)})
+          for i in range(n)]
+    moved = [f.substitute(xs) for f in pm.forms]
+    return PolyMap([sum((g.scale(b) for g, b in zip(moved, row)), HomoForm.zero(n, pm.degree))
+                    for row in B])
 
 
 _CONVENTIONS = ("paper", "invariant")
@@ -145,16 +144,18 @@ def r_normalized(pm: PolyMap, place: Place, convention: str = "invariant",
     return abs_log(place, res).scale(factor)
 
 
-def _certificate_system(pm: PolyMap, m: int):
-    """Rows = degree-m monomials; columns = coefficients of the unknown
-    cofactors (eta_0 first, each in descending-lex order)."""
+def _cofactors(pm: PolyMap, phis: list[HomoForm]):
+    """(mults, sols): for each phi of the common degree m, the coefficients
+    of cofactors with phi = sum eta_i F_i (eta_0 first, each over the
+    degree-(m-d) monomials `mults` in descending-lex order) supported on
+    the earliest columns; sols is None when some phi is not in (F)_m."""
     n = pm.nvars
     d = pm.degree
+    m = phis[0].degree
     row_monos = monomials_of_degree(n, m)
     row_index = {mono: r for r, mono in enumerate(row_monos)}
     mults = monomials_of_degree(n, m - d)
-    ncols = n * len(mults)
-    rows = [[Fraction(0)] * ncols for _ in row_monos]
+    rows = [[Fraction(0)] * (n * len(mults)) for _ in row_monos]
     col = 0
     for i in range(n):
         for mu in mults:
@@ -162,7 +163,13 @@ def _certificate_system(pm: PolyMap, m: int):
                 tgt = tuple(a + b for a, b in zip(expo, mu))
                 rows[row_index[tgt]][col] += c
             col += 1
-    return row_monos, mults, rows
+    rhs = []
+    for phi in phis:
+        b = [Fraction(0)] * len(row_monos)
+        for expo, c in phi.coeffs.items():
+            b[row_index[expo]] = c
+        rhs.append(b)
+    return mults, solve_preferring_early_columns(rows, rhs)
 
 
 def elimination_certificates(pm: PolyMap, phis: list[HomoForm]) -> list[list[HomoForm]]:
@@ -183,15 +190,7 @@ def elimination_certificates(pm: PolyMap, phis: list[HomoForm]) -> list[list[Hom
     e = macaulay_degree(d, n - 1)
     if m < e:
         raise DomainError(f"degree {m} below the elimination threshold {e}")
-    row_monos, mults, rows = _certificate_system(pm, m)
-    row_index = {mono: r for r, mono in enumerate(row_monos)}
-    rhs = []
-    for phi in phis:
-        b = [Fraction(0)] * len(row_monos)
-        for expo, c in phi.coeffs.items():
-            b[row_index[expo]] = c
-        rhs.append(b)
-    sols = solve_preferring_early_columns(rows, rhs)
+    mults, sols = _cofactors(pm, phis)
     if sols is None:
         if macaulay_resultant(pm) == 0:
             raise NotAMorphism("not a morphism: Res(F) = 0")
@@ -213,4 +212,3 @@ def elimination_certificates(pm: PolyMap, phis: list[HomoForm]) -> list[list[Hom
             raise InternalCheckError("certificate failed exact re-expansion")
         out.append(etas)
     return out
-

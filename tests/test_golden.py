@@ -20,6 +20,8 @@ HALF = str(GOLDEN / "half.json")
 DEGENERATE = str(GOLDEN / "degenerate_p2.json")
 # all 20 cubic monomials in every form: a 220 x 220 Macaulay matrix
 DENSE = str(GOLDEN / "dense_d3n3.json")
+# a (3,3) morphism whose identity Macaulay minor is singular
+SPARSE = str(GOLDEN / "sparse_d3n3.json")
 CURVE = ["--curve", "0,-2", "--point", "3,5"]
 # x(40P) has 12,927 bits, inside the lattes benchmark's height band; at
 # n = 12 the determinant prints with about 14,000 characters
@@ -30,6 +32,7 @@ CASES = {
     "resultant_half": (["resultant", HALF], 0),
     "resultant_degenerate_p2": (["resultant", DEGENERATE], 0),
     "resultant_dense_d3n3": (["resultant", DENSE], 0),
+    "resultant_sparse_d3n3": (["resultant", SPARSE], 0),
     "height": (["height", HALF, "--point", "3/2,1"], 0),
     "escape_inf": (["escape", HALF, "--point", "3/2,1", "--place", "inf"], 0),
     "escape_p2_bad": (["escape", HALF, "--point", "3/2,1", "--place", "p=2"], 0),

@@ -1,21 +1,27 @@
+import json
 import math
 import random
 from fractions import Fraction
-from itertools import permutations
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from sympy import Poly, Rational, resultant, symbols
 
-from greenfield.errors import DomainError, NotAMorphism
+from greenfield import macaulay
+from greenfield.errors import DomainError, InternalCheckError, NotAMorphism
 from greenfield.homopoly import (HomoForm, PolyMap, evaluate, form_str,
                                  monomials_of_degree, parse_form, parse_map,
                                  ProjPoint)
+from greenfield.linalg import bareiss_det
 from greenfield.macaulay import (MacaulayMatrix, elimination_certificates,
                                  macaulay_degree, macaulay_resultant,
                                  r_normalized)
 from greenfield.pffield import Place
+
+# a morphism of P^2 whose identity minor is singular; Res = 995328
+DEGENERATE = Path(__file__).resolve().parent / "golden" / "degenerate_p2.json"
 
 
 def rand_form(rng, nvars, degree, density=0.7, bound=5):
@@ -141,15 +147,94 @@ def test_zero_resultant_on_p2():
       "3*x0*x1^2 + 3*x1^2*x2 + 3*x2^3"], 275562),
     (["2*x0*x1 + x1*x3 + x3^2", "2*x0^2 + x0*x2 + 3*x1*x3",
       "2*x2^2 + x2*x3 + 2*x3^2", "-x1^2"], 65536),
+    # (N, d) = (2, 3), value also by interpolating Res(F + tG) at t = 0;
+    # the minor stays singular under six seeded changes of variables
+    # whose entries all lie in {-1, 0, 1}
+    (["x0*x1*x2 + x1^2*x2", "2*x0^2*x1 - x0^2*x2 - 2*x0*x1^2 - 2*x1^2*x2",
+      "2*x0^3 - 2*x0*x1*x2 - x1^3 - x1^2*x2 + x2^3"], -608),
+    # (N, d) = (3, 3): a 220-column matrix; the changes of variables
+    # k = 1..23 with a nonzero minor (22 of them) all give this value
+    (["x0^3 + x0*x1^2 + 2*x2^3 - x3^3", "-x1^3 + 2*x1*x2*x3",
+      "-2*x0*x2^2 - x2^2*x3", "x0^2*x3 + 2*x0*x1^2 + x0*x1*x3"], -27842052096),
 ])
-def test_degenerate_minor_takes_the_perturbation_fallback(forms, expected):
+def test_degenerate_minor_is_moved_off_by_a_change_of_variables(forms, expected):
     pm = parse_map(forms)
-    for prec in permutations(range(pm.nvars)):
-        assert MacaulayMatrix(pm, prec).det_minor() == 0
+    assert MacaulayMatrix(pm).det_minor() == 0
     assert macaulay_resultant(pm) == expected
     lam = Fraction(3, 2)
     w = pm.nvars * pm.degree ** pm.N
     assert macaulay_resultant(pm.scale(lam)) == lam**w * expected
+
+
+def test_minor_singular_under_every_change_of_variables_takes_the_zero_test(monkeypatch):
+    # three multiples of one conic: every B·(F∘A) has rank-1 forms, so
+    # every minor is singular and Macaulay's criterion decides Res = 0
+    pm = parse_map(["x0^2 + x1*x2", "2*x0^2 + 2*x1*x2", "-x0^2 - x1*x2"])
+    calls = []
+    solve = macaulay._cofactors
+    monkeypatch.setattr(macaulay, "_cofactors",
+                        lambda *args: calls.append(args) or solve(*args))
+    assert macaulay_resultant(pm) == 0
+    assert len(calls) == 1
+
+
+def test_no_nonzero_minor_for_a_morphism_is_an_internal_error(monkeypatch):
+    monkeypatch.setattr(macaulay, "_change_of_variables", lambda pm, k: pm)
+    pm = parse_map(json.loads(DEGENERATE.read_text())["forms"])
+    with pytest.raises(InternalCheckError):
+        macaulay_resultant(pm)
+
+
+def _linear_substitution(pm, a):
+    """F∘A: x_i -> sum_j a[i][j] x_j in every form."""
+    n = pm.nvars
+    xs = [HomoForm(n, 1, {tuple(int(t == j) for t in range(n)): a[i][j] for j in range(n)})
+          for i in range(n)]
+    return PolyMap([f.substitute(xs) for f in pm.forms])
+
+
+def _form_combination(pm, b):
+    """B·F: the i-th form is sum_j b[i][j] F_j."""
+    zero = HomoForm.zero(pm.nvars, pm.degree)
+    return PolyMap([sum((f.scale(c) for f, c in zip(pm.forms, row)), zero) for row in b])
+
+
+@st.composite
+def sparse_maps_and_matrices(draw):
+    """A sparse map and two integer matrices P·diag(delta, 1, ..)·L·U
+    with P a permutation, L, U unit triangular and delta in
+    {±1, ±2, 3}, so det = ±delta."""
+    d, N = draw(st.sampled_from([(2, 1), (3, 1), (2, 2)]))
+    n = N + 1
+    coeff = st.integers(-3, 3)
+    monos = monomials_of_degree(n, d)
+    forms = [HomoForm(n, d, {m: draw(coeff) for m in monos}) for _ in range(n)]
+    assume(any(not f.is_zero() for f in forms))
+
+    def matrix():
+        unit = st.integers(-1, 1)
+        lower = [[1 if i == j else draw(unit) if j < i else 0 for j in range(n)]
+                 for i in range(n)]
+        upper = [[1 if i == j else draw(unit) if j > i else 0 for j in range(n)]
+                 for i in range(n)]
+        delta = draw(st.sampled_from([1, -1, 2, -2, 3]))
+        perm = draw(st.permutations(range(n)))
+        lu = [[sum(lower[i][t] * upper[t][j] for t in range(n)) for j in range(n)]
+              for i in range(n)]
+        return [[delta * x for x in lu[p]] if p == 0 else lu[p] for p in perm]
+
+    return PolyMap(forms), matrix(), matrix()
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_maps_and_matrices())
+def test_change_of_variables_laws(case):
+    # Res(F∘A) = det(A)^(d^(N+1)) Res(F) and Res(B·F) = det(B)^(d^N) Res(F)
+    pm, a, b = case
+    d, N = pm.degree, pm.N
+    res = macaulay_resultant(pm)
+    assert macaulay_resultant(_linear_substitution(pm, a)) == bareiss_det(a) ** d ** (N + 1) * res
+    assert macaulay_resultant(_form_combination(pm, b)) == bareiss_det(b) ** d**N * res
 
 
 def test_r_normalized_examples():

@@ -48,9 +48,8 @@ class InvarianceResult:
 
 @dataclass
 class ReductionInfo:
-    good: bool
+    good: bool  # some scaling of F has unit resultant and unit coefficients here
     scaling_ord: int  # minimal coefficient valuation t at this place
-    needs_extension: bool  # (N+1)d^N does not divide ord_v(Res)
 
     @property
     def kind(self) -> str:
@@ -206,16 +205,15 @@ def check_invariance(pm: PolyMap, g: HomoForm) -> InvarianceResult:
 
 def _reduction_type(system: DynSystem, place: Place) -> ReductionInfo:
     if place.is_archimedean:
-        return ReductionInfo(False, 0, False)
+        return ReductionInfo(False, 0)
     d, N = system.degree, system.N
     w = (N + 1) * d**N  # Res(cF) = c^w Res(F)
     ord_res = place.valuation(system.resultant)
     t = min(place.valuation(c) for f in system.map.forms for c in f.coeffs.values())
     # A scaling mu with |Res(mu F)|_v = 1 and unit coefficient sup-norm
     # exists (over an extension when w does not divide ord_res) iff the
-    # two normalizations agree:
-    good = ord_res == w * t
-    return ReductionInfo(good, t, ord_res % w != 0)
+    # two normalizations agree
+    return ReductionInfo(ord_res == w * t, t)
 
 
 # ---------------------------------------------------------------------------

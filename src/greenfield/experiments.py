@@ -1,7 +1,7 @@
-"""Experiment drivers: the adelic envelope/witness report, the
-transfinite-diameter trend at a fixed place, the greedy multiples
-search along a translation orbit, and the degree-vs-height Lehmer scan
-on Lattes systems.
+"""Experiment drivers: the adelic envelope/witness report and the
+transfinite-diameter trend, which share one (n, place) row loop, the
+greedy multiples search along a translation orbit, and the
+degree-vs-height Lehmer scan on Lattes systems.
 
 Reports pair certified lower bounds (witnesses from explicit admissible
 tuples) with certified upper bounds (Hadamard envelopes); constants
@@ -180,12 +180,6 @@ def roots_of_unity_tuple(count_pts: int) -> list[ProjPoint]:
     ]
 
 
-def _roots_on_x(system: DynSystem, count_pts: int) -> list[ProjPoint]:
-    if not system.is_p1:
-        raise PreconditionError("the roots-of-unity tuple needs X = P^1")
-    return roots_of_unity_tuple(count_pts)
-
-
 # ---------------------------------------------------------------------------
 # Adelic report (envelope vs witness, per place and degree)
 
@@ -197,26 +191,34 @@ def report_places(system: DynSystem) -> list[Place]:
     return contributing_places(system, probe)
 
 
-def _place_bounds(system: DynSystem, basis: BasisFamily, place: Place, tol: float,
-                  arch_witness):
-    """(envelope, witness or None, note) for log d_H(n) at the place: the
-    Hadamard envelope from the Julia-radius bound, and the witness of
-    `arch_witness()` at the archimedean place or of a greedy grid tuple
-    at a finite one, with the reason when there is none.  A witness
-    above its envelope fails a hard check."""
-    n = basis.n
-    env = hadamard_envelope(system, n, julia_radius_log(system, place), place) / (n * basis.cn)
-    try:
-        w = arch_witness() if place.is_archimedean else dbn_witness(
-            system, basis, sample_julia_tuple(system, basis), place, tol)
-    except (PreconditionError, ResourceLimit) as exc:
-        return env, None, str(exc)
-    if w is MINUS_INFINITY:
-        return env, None, "the tuple's evaluation determinant vanishes"
-    if w.total() > env + 1e-6:
-        raise InternalCheckError(
-            f"witness {w.total()} exceeds envelope {env} at {place} (n={n})")
-    return env, w.total(), None
+def _bound_rows(system: DynSystem, n_list, places, tol: float, arch_witness) -> list[dict]:
+    """One row per (n, place), n outer: the Hadamard envelope for log d_H(n)
+    from the Julia-radius bound, and the witness of `arch_witness(basis,
+    place)` at the archimedean place or of a greedy grid tuple at a finite
+    one, with the reason when there is none.  A witness above its
+    envelope fails a hard check."""
+    rows = []
+    for n in n_list:
+        basis = special_basis(system, n)
+        for place in places:
+            r_log = julia_radius_log(system, place)
+            env = hadamard_envelope(system, n, r_log, place) / (n * basis.cn)
+            note = None
+            try:
+                w = arch_witness(basis, place) if place.is_archimedean else dbn_witness(
+                    system, basis, sample_julia_tuple(system, basis), place, tol)
+            except (PreconditionError, ResourceLimit) as exc:
+                w, note = None, str(exc)
+            if w is MINUS_INFINITY:
+                w, note = None, "the tuple's evaluation determinant vanishes"
+            if w is not None:
+                w = w.total()
+                if w > env + 1e-6:
+                    raise InternalCheckError(
+                        f"witness {w} exceeds envelope {env} at {place} (n={n})")
+            rows.append({"n": n, "c": basis.cn, "place": repr(place), "envelope_logd": env,
+                         "witness_logd": w, **({"witness_note": note} if note else {})})
+    return rows
 
 
 def adelic_report(system: DynSystem, n_list, budget: int = 4000, seed: int = 7,
@@ -227,24 +229,20 @@ def adelic_report(system: DynSystem, n_list, budget: int = 4000, seed: int = 7,
     the fitted constant max_n (sum_v envelope) * n / log n; returned as
     the JSON-ready report the CLI prints."""
     places = report_places(system)
+    rows = _bound_rows(system, n_list, places, tol,
+                       lambda basis, _place: fekete_search(system, basis, budget, seed).witness)
     entries = []
-    for n in n_list:
-        basis = special_basis(system, n)
-        envs = {}
-        wits = {}
-        notes = {}
-        for place in places:
-            envs[repr(place)], wits[repr(place)], note = _place_bounds(
-                system, basis, place, tol,
-                lambda: fekete_search(system, basis, budget, seed).witness)
-            if note is not None:
-                notes[repr(place)] = note
+    for start in range(0, len(rows), len(places)):
+        group = rows[start:start + len(places)]
+        n = group[0]["n"]
+        envs = {r["place"]: r["envelope_logd"] for r in group}
+        wits = {r["place"]: r["witness_logd"] for r in group}
+        notes = {r["place"]: r["witness_note"] for r in group if "witness_note" in r}
         env_sum = math.fsum(envs.values())
-        wit_vals = [w for w in wits.values() if w is not None]
         entries.append({
-            "n": n, "c": basis.cn, "envelopes": envs, "witnesses": wits,
+            "n": n, "c": group[0]["c"], "envelopes": envs, "witnesses": wits,
             "envelope_sum": env_sum, "fitted_c": env_sum * n / math.log(n),
-            "witness_sum": math.fsum(wit_vals) if len(wit_vals) == len(places) else None,
+            "witness_sum": None if None in wits.values() else math.fsum(wits.values()),
             **({"witness_notes": notes} if notes else {})})
     return {
         "schema": "greenfield-report/1",
@@ -260,28 +258,17 @@ def adelic_report(system: DynSystem, n_list, budget: int = 4000, seed: int = 7,
 
 
 def transfin_trend(system: DynSystem, n_list, places=None, tol: float = 1e-9):
-    """Per (place, n): witness and envelope for log d_H(n).  Finite
-    places where no rational rescaling gives a unit resultant are
-    skipped with a reason."""
+    """Per (n, place): envelope and witness for log d_H(n), the rows of
+    `adelic_report` with the roots of unity as the tuple at infinity."""
     if places is None:
         places = report_places(system)
-    rows = []
-    for n in n_list:
-        basis = special_basis(system, n)
-        c = basis.cn
-        for place in places:
-            row = {"n": n, "c": c, "place": repr(place)}
-            if not place.is_archimedean and system.reduction(place).needs_extension:
-                row["skipped"] = "no rational rescaling attains |Res|_v = 1"
-                rows.append(row)
-                continue
-            row["envelope_logd"], row["witness_logd"], note = _place_bounds(
-                system, basis, place, tol,
-                lambda: dbn_witness(system, basis, _roots_on_x(system, c), place, tol))
-            if note is not None:
-                row["witness_note"] = note
-            rows.append(row)
-    return rows
+
+    def roots_witness(basis, place):
+        if not system.is_p1:
+            raise PreconditionError("the roots-of-unity tuple needs X = P^1")
+        return dbn_witness(system, basis, roots_of_unity_tuple(basis.cn), place, tol)
+
+    return _bound_rows(system, n_list, places, tol, roots_witness)
 
 
 # ---------------------------------------------------------------------------

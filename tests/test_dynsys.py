@@ -160,14 +160,14 @@ def test_reduction_respects_rescaling():
     # 2F has |Res|_2 < 1 but rescaling by 1/2 restores the good model
     doubled = DynSystem(parse_map(["2*x0^2", "2*x1^2"]))
     info = doubled.reduction(Place.prime(2))
-    assert info.good and info.scaling_ord == 1 and not info.needs_extension
+    assert info.good and info.scaling_ord == 1
 
 
-def test_reduction_extension_flag():
+def test_reduction_bad_when_no_rational_scaling_has_unit_resultant():
     # Res(2x^2, y^2) = 4: ord_2 = 2 is not divisible by (N+1)d^N = 4
     system = DynSystem(parse_map(["2*x0^2", "x1^2"]))
     info = system.reduction(Place.prime(2))
-    assert not info.good and info.needs_extension
+    assert not info.good
 
 
 def test_good_reduction_polydisk_agreement(power_map):

@@ -319,10 +319,26 @@ def test_transfin_trend_power_map(power_map):
     assert env_inf[0] >= env_inf[-1]
 
 
-def test_transfin_trend_skips_extension_places():
-    system = DynSystem(parse_map(["2*x0^2", "x1^2"]))  # ord_2 Res = 2, w = 4
-    rows = transfin_trend(system, [2], places=[Place.prime(2)])
-    assert rows[0].get("skipped")
+def test_transfin_trend_matches_adelic_report_at_finite_places(half_map):
+    # the first two have no rational scaling with a unit resultant
+    # (ord_v Res = 2 and 3 against (N+1)d^N = 4 and 6); both reports read
+    # the same rows, so those places get a witness too
+    cases = ((DynSystem(parse_map(["2*x0^2", "x1^2"])), 2),
+             (DynSystem(parse_map(["x0^3 + 2*x1^3", "3*x1^3"])), 3),
+             (half_map, 2))
+    for system, p in cases:
+        place = Place.prime(p)
+        report = adelic_report(system, [2, 4, 8], budget=50, seed=3)
+        rows = transfin_trend(system, [2, 4, 8], places=[place])
+        assert len(rows) == len(report["entries"]) == 3
+        for row, entry in zip(rows, report["entries"]):
+            assert row["n"] == entry["n"] and "witness_note" not in row
+            assert row["envelope_logd"] == entry["envelopes"][repr(place)]
+            assert row["witness_logd"] == entry["witnesses"][repr(place)]
+            assert row["witness_logd"] <= row["envelope_logd"]
+    (row,) = transfin_trend(cases[0][0], [2], places=[Place.prime(2)])
+    assert row["witness_logd"] == 0.23104906007905782
+    assert row["envelope_logd"] == 1.7328679513998633
 
 
 def test_roots_of_unity_tuple():

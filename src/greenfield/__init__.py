@@ -18,8 +18,7 @@ from .experiments import (EllipticCurve, LattesSystem, adelic_report,
                           transfin_trend)
 from .green import (dbn_witness, eval_det_log, fekete_search, green_value,
                     hadamard_envelope, julia_radius_log)
-from .heights import (HeightValue, canonical_height, contributing_places,
-                      weil_height)
+from .heights import canonical_height, contributing_places, weil_height
 from .homopoly import (HomoForm, PolyMap, ProjPoint, coeff_sup_log, compose,
                        evaluate, form_str, iterate, parse_form, parse_map)
 from .macaulay import (MacaulayMatrix, elimination_certificates,

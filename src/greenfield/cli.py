@@ -24,7 +24,7 @@ from .green import (dbn_witness, fekete_search, green_value, hadamard_envelope,
                     julia_radius_log)
 from .heights import canonical_height, weil_height
 from .homopoly import ProjPoint, form_str, parse_form, parse_map
-from .pffield import MINUS_INFINITY, PLUS_INFINITY, Place, parse_rational
+from .pffield import LogMag, MINUS_INFINITY, PLUS_INFINITY, Place, parse_rational
 
 
 def _check_tol(tol: float, where: str) -> float:
@@ -115,8 +115,6 @@ class SystemConfig:
             raise errors.InputError(
                 f"declared d={self.d} but forms have degree {pm.degree}"
             )
-        if pm.N != self.N:
-            raise errors.InputError(f"declared N={self.N} but got {pm.N}")
         hyp = parse_form(self.hypersurface, self.N + 1) if self.hypersurface else None
         return DynSystem(pm, hyp)
 
@@ -173,13 +171,14 @@ def _local_json(mag) -> dict:
     return {"value": mag.total(), "error": mag.arch_err, "exact": mag.is_exact}
 
 
-def _height_json(h) -> dict:
+def _height_json(profile) -> dict:
+    h = sum(profile.values(), LogMag.zero())
     return {
-        "value": h.value,
-        "error": h.error,
+        "value": h.total(),
+        "error": h.arch_err,
         "local_profile": {
             repr(place): _local_json(r)
-            for place, r in sorted(h.local_profile.items(), key=lambda kv: kv[0])
+            for place, r in sorted(profile.items(), key=lambda kv: kv[0])
         },
     }
 
@@ -222,15 +221,14 @@ def _cmd_resultant(args):
 
 def _cmd_height(args):
     point = _parse_point(args.point)
-    h = canonical_height(args.system, point, args.tol)
-    _check_reached(h.error, args.tol)
-    weil = weil_height(point)
+    canonical = _height_json(canonical_height(args.system, point, args.tol))
+    _check_reached(canonical["error"], args.tol)
     _emit(
         {
             "kind": "height",
             "point": [str(x) for x in point.lift],
-            "canonical": _height_json(h),
-            "weil": _height_json(weil),
+            "canonical": canonical,
+            "weil": _height_json(weil_height(point)),
             "tol": args.tol,
         },
         args.out,
@@ -294,6 +292,9 @@ def _cmd_green(args):
     points = [_parse_point(t) for t in args.points.split(";") if t.strip()]
     val = green_value(system, basis, points, place, args.convention, tol)
     wit = dbn_witness(system, basis, points, place, tol) if args.witness else None
+    for mag in (val, wit):
+        if isinstance(mag, LogMag):  # not absent, not an infinite sentinel
+            _check_reached(mag.arch_err, tol)
     payload = {
         "kind": "green",
         "n": args.n,

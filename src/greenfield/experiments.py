@@ -23,7 +23,7 @@ from .errors import DomainError, InternalCheckError, PreconditionError, Resource
 from .green import dbn_witness, fekete_search, hadamard_envelope, julia_radius_log
 from .heights import canonical_height, contributing_places
 from .homopoly import HomoForm, PolyMap, ProjPoint
-from .pffield import MINUS_INFINITY, Place
+from .pffield import LogMag, MINUS_INFINITY, Place
 
 
 # ---------------------------------------------------------------------------
@@ -361,29 +361,30 @@ def lehmer_scan(lattes: LattesSystem, depth_list, tol: float = 1e-9) -> dict:
     for depth in depth_list:
         if depth < 0 or depth > MAX_LEHMER_DEPTH:
             raise DomainError(f"depth {depth} outside [0, {MAX_LEHMER_DEPTH}]")
-    h0 = canonical_height(lattes.system, ProjPoint.exact([lattes.base_point[0], 1]), tol)
-    if h0.value - h0.error <= tol:
+    h0 = sum(canonical_height(lattes.system, ProjPoint.exact([lattes.base_point[0], 1]),
+                              tol).values(), LogMag.zero())
+    if h0.total() - h0.arch_err <= tol:
         raise PreconditionError(
-            f"base point height {h0.value} not certifiably above tol={tol}: torsion?"
+            f"base point height {h0.total()} not certifiably above tol={tol}: torsion?"
         )
 
     rows = []
     for depth in depth_list:
         scale = 4**depth
-        h = h0.value / scale
+        h = h0.total() / scale
         factors = ([("z - x(P)", 1, 1)] if depth == 0 else
                    [(_poly_str(poly), len(poly) - 1, mult)
                     for poly, mult in _preimage_factors(lattes, depth)])
         for factor, D, mult in factors:
             rows.append({
                 "depth": depth, "degree": D, "count": D, "multiplicity": mult,
-                "height": h, "height_err": h0.error / scale,
+                "height": h, "height_err": h0.arch_err / scale,
                 "shape": h * D**5 * math.log(max(D, 2)) ** 2, "factor": factor})
     return {
         "schema": "greenfield-report/1",
         "kind": "lehmer-scan",
-        "base_height": h0.value,
-        "base_height_err": h0.error,
+        "base_height": h0.total(),
+        "base_height_err": h0.arch_err,
         "min_shape": min((r["shape"] for r in rows), default=math.inf),
         "rows": rows,
     }

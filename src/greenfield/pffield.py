@@ -7,7 +7,7 @@ which keeps every nonarchimedean contribution symbolic (a rational
 multiple of log p) so that adelic cancellations can be tested exactly;
 only the archimedean part is a float, with a tracked error bound.
 
-The Place interface (is_archimedean / residue_char / valuation) is kept
+The Place interface (is_archimedean / valuation) is kept
 minimal so that a function-field instance can be added later without
 touching consumers.
 """
@@ -90,11 +90,6 @@ class Place:
     @property
     def is_archimedean(self) -> bool:
         return self.p is None
-
-    @property
-    def residue_char(self) -> int:
-        """Residue characteristic: 0 at the archimedean place."""
-        return 0 if self.p is None else self.p
 
     def valuation(self, x) -> int:
         """ord_p(x) for nonzero rational x; undefined at the archimedean place."""

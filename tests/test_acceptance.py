@@ -330,33 +330,35 @@ def test_criterion_08_canonical_heights():
     problems = []
     pw = DynSystem(parse_map(["x0^2", "x1^2"]))
     cheb = DynSystem(parse_map(["x0^2 - 2*x1^2", "x1^2"]))
-    h = canonical_height(pw, ProjPoint.exact([2, 1]), 1e-13)
-    if abs(h.value - math.log(2)) > 1e-12:
-        problems.append(f"h([2:1]) = {h.value} vs log 2")
+    from greenfield.pffield import LogMag
+    zero = LogMag.zero()
+    h = sum(canonical_height(pw, ProjPoint.exact([2, 1]), 1e-13).values(), zero).total()
+    if abs(h - math.log(2)) > 1e-12:
+        problems.append(f"h([2:1]) = {h} vs log 2")
     for system, xs in ((pw, (0, 1, -1)), (cheb, (0, 1, -1, 2, -2))):
         for x in xs:
-            hv = canonical_height(system, ProjPoint.exact([x, 1]), 1e-10)
-            if abs(hv.value) > 1e-9:
-                problems.append(f"preperiodic x={x}: h = {hv.value}")
+            hv = sum(canonical_height(system, ProjPoint.exact([x, 1]), 1e-10).values(),
+                     zero).total()
+            if abs(hv) > 1e-9:
+                problems.append(f"preperiodic x={x}: h = {hv}")
     # lift-change invariance: exact on the p-adic ledgers, float-bounded at infinity
-    from greenfield.pffield import LogMag
     pt = ProjPoint.exact([6, 1])
     lam = Fraction(20, 3)
     p1 = canonical_height(pw, pt, 1e-11)
     p2 = canonical_height(pw, pt.scaled(lam), 1e-11)
-    zero = LogMag.zero()
-    for place in set(p1.local_profile) | set(p2.local_profile):
+    for place in set(p1) | set(p2):
         if place.is_archimedean:
             continue
-        r1, r2 = p1.local_profile.get(place), p2.local_profile.get(place)
+        r1, r2 = p1.get(place), p2.get(place)
         a = r1 if r1 is not None else zero  # absent entry means exactly 0
         b = r2 if r2 is not None else zero
         if not (a.is_exact and b.is_exact):
             problems.append(f"inexact entry at good place {place}")
         elif (b - a).padic != abs_log(place, lam).padic:
             problems.append(f"profile shift at {place} not exactly log|c|_v")
-    if abs(p2.value - p1.value) > 1e-9:
-        problems.append(f"total height moved by {abs(p2.value - p1.value)}")
+    moved = abs(sum(p2.values(), zero).total() - sum(p1.values(), zero).total())
+    if moved > 1e-9:
+        problems.append(f"total height moved by {moved}")
     _finish(8, "canonical heights (log 2 anchor; preperiodic zeros; lift invariance)",
             t0, problems)
 

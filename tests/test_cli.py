@@ -96,13 +96,21 @@ def test_basis_command_roundtrips(capsys, power_cfg):
         assert form_str(parse_form(el["form"], 2)) == el["form"]
 
 
-def test_green_command(capsys, power_cfg):
+def test_green_command(capsys, power_cfg, half_cfg):
     code, out = run_json(capsys, ["green", power_cfg, "--n", "1",
                                   "--points", "1,1;-1,1", "--place", "inf",
                                   "--basis", "monomial"])
     assert code == 0
     payload = json.loads(out)
     assert payload["green"]["total"] == pytest.approx(-0.5 * math.log(2), abs=1e-9)
+    # (0:1) and (0:2) are one point: the Green value is +infinity and the
+    # witness -infinity, which the tol check passes over
+    code, out = run_json(capsys, ["green", half_cfg, "--n", "2", "--points", "0,1;1,1;0,2",
+                                  "--place", "p=2", "--witness", "--tol", "1e-300"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["green"] == {"plus_infinity": True}
+    assert payload["witness_logd"] == {"minus_infinity": True}
 
 
 def test_green_rejects_points_off_the_hypersurface(capsys, tmp_path):
@@ -184,13 +192,20 @@ def test_exit_codes(capsys, tmp_path, power_cfg, half_cfg):
     assert run(["escape", power_cfg, "--point", "1/0,1"]) == 2
     assert run(["escape", half_cfg, "--point", "3,1,5", "--place", "p=2"]) == 1
     # a tol below what the float path certifies fails instead of passing silently
-    for cmd in ("escape", "height"):
+    for argv in (["escape", power_cfg, "--point", "3/2,1"],
+                 ["height", power_cfg, "--point", "3/2,1"],
+                 ["green", half_cfg, "--n", "2", "--points", "0,1;1,1;2,1"],
+                 ["green", half_cfg, "--n", "2", "--points", "0,1;1,1;2,1",
+                  "--place", "p=2", "--witness"]):
         capsys.readouterr()
-        assert run([cmd, power_cfg, "--point", "3/2,1", "--tol", "1e-300"]) == 1
+        assert run(argv + ["--tol", "1e-300"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: error reached ") and err.count("\n") == 1
     assert run(["nonsense"]) == 2
     assert run(["resultant", str(tmp_path)]) == 2  # a directory
+    capsys.readouterr()
+    assert run(["adelic-report", half_cfg, "--n", "4,x"]) == 2
+    assert capsys.readouterr().err.startswith("error: bad degree list '4,x'")
     latin1 = tmp_path / "latin1.json"
     latin1.write_bytes(b'{"N": 1, "d": 2, "forms": ["x0^2", "x1^2"], "note": "caf\xe9"}')
     assert run(["resultant", str(latin1)]) == 2

@@ -336,6 +336,8 @@ def test_transfin_trend_matches_adelic_report_at_finite_places(half_map):
             assert row["envelope_logd"] == entry["envelopes"][repr(place)]
             assert row["witness_logd"] == entry["witnesses"][repr(place)]
             assert row["witness_logd"] <= row["envelope_logd"]
+        # by default the trend covers the report's places
+        assert [row["place"] for row in transfin_trend(system, [2])] == report["places"]
     (row,) = transfin_trend(cases[0][0], [2], places=[Place.prime(2)])
     assert row["witness_logd"] == 0.23104906007905782
     assert row["envelope_logd"] == 1.7328679513998633

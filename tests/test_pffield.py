@@ -36,10 +36,8 @@ def test_place_construction_and_parsing():
 
 def test_place_interface():
     p = Place.prime(3)
-    assert p.residue_char == 3
     assert p.valuation(Fraction(18, 5)) == 2
     assert p.valuation(Fraction(5, 27)) == -3
-    assert Place.archimedean().residue_char == 0
 
 
 def test_support_examples():

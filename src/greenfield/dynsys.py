@@ -26,11 +26,15 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
+from sympy import QQ
+from sympy.polys.orderings import lex
+from sympy.polys.rings import ring
+
 from .errors import DimensionMismatch, DomainError, InternalCheckError, NotAMorphism
 from .homopoly import (HomoForm, PolyMap, ProjPoint, _term_sum, coeff_sup_log, evaluate,
                        iterate)
 from .macaulay import elimination_certificates, macaulay_degree, macaulay_resultant
-from .pffield import LogMag, Place, log_abs, sup_log
+from .pffield import LogMag, Place, abs_log, sup_log
 
 
 class Membership(enum.Enum):
@@ -55,39 +59,6 @@ class ReductionInfo:
     def kind(self) -> str:
         """"good" or "bad"; archimedean places are bad by convention."""
         return "good" if self.good else "bad"
-
-
-def divmod_form(num: HomoForm, den: HomoForm):
-    """Exact division of homogeneous forms: num = q*den + r with no term
-    of r divisible by the leading term of den (descending-lex order)."""
-    if den.is_zero():
-        raise DomainError("division by zero form")
-    if num.nvars != den.nvars:
-        raise DomainError("variable count mismatch in division")
-    lead_d = max(den.coeffs)
-    cd = den.coeffs[lead_d]
-    q = HomoForm.zero(num.nvars, max(num.degree - den.degree, 0))
-    r_terms: dict = {}
-    work = dict(num.coeffs)
-    while work:
-        lead = max(work)
-        c = work.pop(lead)
-        diff = tuple(a - b for a, b in zip(lead, lead_d))
-        if all(a >= 0 for a in diff):
-            qc = c / cd
-            q = q + HomoForm.monomial(num.nvars, diff, qc)
-            for expo, dc in den.coeffs.items():
-                if expo == lead_d:
-                    continue
-                tgt = tuple(a + b for a, b in zip(expo, diff))
-                s = work.get(tgt, Fraction(0)) - qc * dc
-                if s == 0:
-                    work.pop(tgt, None)
-                else:
-                    work[tgt] = s
-        else:
-            r_terms[lead] = c
-    return q, HomoForm(num.nvars, num.degree, r_terms)
 
 
 class DynSystem:
@@ -195,12 +166,22 @@ class DynSystem:
 
 def check_invariance(pm: PolyMap, g: HomoForm) -> InvarianceResult:
     """True iff G∘F = Q·G for some form Q; returns Q, or the nonzero
-    remainder of the exact division on failure."""
-    comp = g.substitute(pm.forms)
-    q, r = divmod_form(comp, g)
-    if r.is_zero():
-        return InvarianceResult(True, q, None)
-    return InvarianceResult(False, None, r)
+    remainder of the division in lex order with x0 first (no term of it
+    is divisible by the leading term of G) on failure."""
+    if g.is_zero():
+        raise DomainError("division by zero form")
+    if g.nvars != pm.nvars:
+        raise DomainError("variable count mismatch in division")
+    poly_ring = ring([f"x{i}" for i in range(g.nvars)], QQ, lex)[0]
+    q, r = poly_ring(g.substitute(pm.forms).coeffs).div(poly_ring(g.coeffs))
+
+    def form(poly, degree):
+        return HomoForm(g.nvars, degree, {e: Fraction(int(c.numerator), int(c.denominator))
+                                          for e, c in poly.items()})
+
+    if r:
+        return InvarianceResult(False, None, form(r, g.degree * pm.degree))
+    return InvarianceResult(True, form(q, g.degree * (pm.degree - 1)), None)
 
 
 def _reduction_type(system: DynSystem, place: Place) -> ReductionInfo:
@@ -294,7 +275,7 @@ def _escape_arch(system: DynSystem, lift: ProjPoint, tol: float) -> LogMag:
     bound = max(abs(c_lo), abs(c_hi), 1e-9)
     K = _tail_steps(d, bound, tol)
     big = max(abs(x) for x in lift.lift)
-    total = math.log(big) if lift.numeric else log_abs(big)[0]
+    total = math.log(big) if lift.numeric else abs_log(Place.archimedean(), big).arch
     start = ProjPoint.of_numeric([x / big for x in lift.lift])
     parts = [total]
     scale = 1.0

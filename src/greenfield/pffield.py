@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from sympy import factorint, isprime
+from sympy import factorint, isprime, multiplicity
 
 from .errors import DomainError, InputError
 
@@ -41,23 +41,6 @@ def parse_rational(s: str) -> Fraction:
 # singular tuple; tested with `is`, so a stray math.inf never matches.
 MINUS_INFINITY = float("-inf")
 PLUS_INFINITY = float("inf")
-
-
-def _ord(n: int, p: int) -> int:
-    """ord_p of a nonzero integer, p odd: strip p^(2^k), k = 0, 1, ...,
-    while it divides, then those descending."""
-    if n % p:
-        return 0
-    v, powers = 0, [p]
-    while n % powers[-1] == 0:
-        n //= powers[-1]
-        v += 1 << (len(powers) - 1)
-        powers.append(powers[-1] ** 2)
-    for k in range(len(powers) - 2, -1, -1):
-        if n % powers[k] == 0:
-            n //= powers[k]
-            v += 1 << k
-    return v
 
 
 @dataclass(frozen=True)
@@ -99,15 +82,7 @@ class Place:
             x = Fraction(x)  # most of the cost of a call; an int needs none
         if x == 0:
             raise DomainError("valuation of zero")
-        p, n, d = self.p, x.numerator, x.denominator
-        if p == 2:
-            return (n & -n).bit_length() - (d & -d).bit_length()
-        v = 0  # ord 0 takes no call to _ord, ord 1 one that returns at its first test
-        if n % p == 0:
-            v += 1 + _ord(n // p, p)
-        if d % p == 0:
-            v -= 1 + _ord(d // p, p)
-        return v
+        return multiplicity(self.p, x.numerator) - multiplicity(self.p, x.denominator)
 
     def __repr__(self):
         return "inf" if self.p is None else f"p={self.p}"
@@ -123,19 +98,6 @@ class Place:
             except (ValueError, DomainError) as exc:
                 raise InputError(f"not a place: {s!r} ({exc})")
         raise InputError(f"not a place: {s!r} (expected 'inf' or 'p=<prime>')")
-
-
-def log_abs(x) -> tuple[float, float]:
-    """(log|x| as a float, error bound).  Handles huge numerators exactly
-    enough: math.log on a Python int is correctly rounded to ~1 ulp."""
-    x = Fraction(x)
-    if x == 0:
-        raise DomainError("log of zero magnitude")
-    ln = math.log(abs(x.numerator))
-    ld = math.log(x.denominator)
-    val = ln - ld
-    err = math.ulp(abs(ln)) + math.ulp(abs(ld)) + math.ulp(abs(val) + 1.0)
-    return val, err
 
 
 class LogMag:
@@ -245,7 +207,10 @@ def abs_log(place: Place, x) -> LogMag:
     if x == 0:
         raise DomainError("log of zero magnitude")
     if place.is_archimedean:
-        val, err = log_abs(x)
+        # math.log of an int is correctly rounded, however many digits it has
+        ln, ld = math.log(abs(x.numerator)), math.log(x.denominator)
+        val = ln - ld
+        err = math.ulp(abs(ln)) + math.ulp(abs(ld)) + math.ulp(abs(val) + 1.0)
         return LogMag.of_float(val, err)
     v = place.valuation(x)
     return LogMag.of_log_prime(place.p, -v) if v else LogMag.zero()

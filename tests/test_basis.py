@@ -112,6 +112,20 @@ def test_special_basis_on_plane_cubic():
         assert tracker.add(_coeff_vector(el.expanded, index)) is True
 
 
+def test_special_basis_relaxes_below_the_window():
+    # x0^5, x1^5 at n = 18: the window j in [t1, t2] = [3, 10] runs out
+    # before rank 19, and j = 2, below it, completes the basis
+    system = power_system(1, 5)
+    fam = special_basis(system, 18)
+    assert (t1_floor(system, 18), t2_floor(system, 18)) == (3, 10)
+    assert fam.relaxed_j is True
+    assert len(fam) == section_dim(system, 18) == 19
+    # hadamard_envelope's premise: a cofactor of degree < d(N+1) times at
+    # most floor(t2) generator factors
+    for el in fam.elements:
+        assert len(el.factors) <= t2_floor(system, 18) and sum(el.eta) < 10
+
+
 def test_monomial_basis_examples():
     fam = monomial_basis(1, 2)
     assert [form_str(el.expanded) for el in fam.elements] == ["x0^2", "x0*x1", "x1^2"]

@@ -8,6 +8,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -71,6 +72,22 @@ def test_escape_command(capsys, power_cfg):
     assert payload["value"] == pytest.approx(math.log(2), abs=1e-12)
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1")
+def test_escape_error_covers_the_value_near_the_julia_set(capsys, tmp_path):
+    # z^2 - 2 at z = 2 + 1e-12, just outside its Julia set [-2, 2]: with
+    # z = w + 1/w the escape rate is log w, which the printed error must cover
+    path = tmp_path / "chebyshev.json"
+    path.write_text(json.dumps({"N": 1, "d": 2, "forms": ["x0^2 - 2*x1^2", "x1^2"]}))
+    code, out = run_json(capsys, ["escape", str(path), "--point",
+                                  "2000000000001/1000000000000,1", "--tol", "1e-11"])
+    assert code == 0
+    payload = json.loads(out)
+    with mpmath.workdps(60):
+        z = mpmath.mpf(2000000000001) / 1000000000000
+        log_w = float(mpmath.log((z + mpmath.sqrt(z * z - 4)) / 2))
+    assert abs(payload["value"] - log_w) <= payload["error"]
+
+
 def test_escape_command_computes_the_rate_once(capsys, monkeypatch, half_cfg):
     calls = []
 
@@ -85,13 +102,22 @@ def test_escape_command_computes_the_rate_once(capsys, monkeypatch, half_cfg):
     assert len(calls) == 1
 
 
-def test_basis_command_roundtrips(capsys, power_cfg):
+def test_basis_command_roundtrips(capsys, power_cfg, tmp_path):
     code, out = run_json(capsys, ["basis", power_cfg, "--n", "6"])
     assert code == 0
     payload = json.loads(out)
     assert payload["c"] == 7
     assert len(payload["elements"]) == 7
     from greenfield.homopoly import parse_form, form_str
+    for el in payload["elements"]:
+        assert form_str(parse_form(el["form"], 2)) == el["form"]
+    # a basis that leaves the primary window says so
+    quintic = tmp_path / "quintic.json"
+    quintic.write_text(json.dumps({"N": 1, "d": 5, "forms": ["x0^5", "x1^5"]}))
+    code, out = run_json(capsys, ["basis", str(quintic), "--n", "18"])
+    assert code == 0 and '"relaxed_j": true' in out
+    payload = json.loads(out)
+    assert payload["c"] == len(payload["elements"]) == 19
     for el in payload["elements"]:
         assert form_str(parse_form(el["form"], 2)) == el["form"]
 
@@ -394,6 +420,26 @@ def test_toml_config(tmp_path, capsys):
     path.write_text('N = 1\nd = 2\nforms = ["x0^2", "x1^2"]\n')
     code = run(["resultant", str(path)])
     assert code == 0
+    assert capsys.readouterr().out.strip() == "1"
+
+
+def test_toml_without_a_parser_is_a_parse_error(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "power.toml"
+    path.write_text('N = 1\nd = 2\nforms = ["x0^2", "x1^2"]\n')
+    monkeypatch.setitem(sys.modules, "tomllib", None)  # None in sys.modules: ImportError
+    monkeypatch.setitem(sys.modules, "tomli", None)
+    assert run(["resultant", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "TOML support needs Python 3.11+ or tomli" in err
+
+
+def test_toml_falls_back_to_tomli(tmp_path, capsys, monkeypatch):
+    tomllib = pytest.importorskip("tomllib")
+    path = tmp_path / "power.toml"
+    path.write_text('N = 1\nd = 2\nforms = ["x0^2", "x1^2"]\n')
+    monkeypatch.setitem(sys.modules, "tomllib", None)
+    monkeypatch.setitem(sys.modules, "tomli", tomllib)
+    assert run(["resultant", str(path)]) == 0
     assert capsys.readouterr().out.strip() == "1"
 
 

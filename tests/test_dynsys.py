@@ -3,11 +3,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from greenfield.dynsys import (DynSystem, Membership, check_invariance, divmod_form,
-                               escape_rate, membership_of)
+from greenfield.dynsys import (DynSystem, Membership, check_invariance, escape_rate,
+                               membership_of)
 from greenfield.errors import DimensionMismatch, DomainError, NotAMorphism
-from greenfield.homopoly import ProjPoint, parse_form, parse_map
+from greenfield.homopoly import (HomoForm, PolyMap, ProjPoint, monomials_of_degree, parse_form,
+                                 parse_map)
 from greenfield.pffield import Place
 
 ARCH = Place.archimedean()
@@ -36,20 +39,45 @@ def test_invariance_examples(power_map):
     assert not inv.holds and not inv.remainder.is_zero()
 
 
+@st.composite
+def _form(draw, nvars, degree):
+    coeff = st.fractions(-4, 4, max_denominator=3)
+    return HomoForm(nvars, degree, {e: draw(coeff) for e in monomials_of_degree(nvars, degree)
+                                    if draw(st.booleans())})
+
+
+@settings(max_examples=60)
+@given(st.data(), st.sampled_from([2, 3]), st.integers(2, 4),
+       st.fractions(-4, 4, max_denominator=3))
+def test_invariance_of_a_line_through_a_built_quotient(data, nvars, d, c):
+    # G = x0 - x1 and F1 = F0 - G*h + c*x1^d give G∘F = G*h - c*x1^d, whose
+    # remainder in lex order with x0 first is -c*x1^d: no term has an x0
+    g = parse_form("x0 - x1", nvars)
+    h = data.draw(_form(nvars, d - 1))
+    f0 = data.draw(_form(nvars, d))
+    x1_d = HomoForm.monomial(nvars, [0, d] + [0] * (nvars - 2), c)
+    forms = [f0, f0 - g * h + x1_d] + [data.draw(_form(nvars, d)) for _ in range(nvars - 2)]
+    assume(not all(f.is_zero() for f in forms))
+    inv = check_invariance(PolyMap(forms), g)
+    if c == 0:
+        assert inv.holds and inv.quotient == h and inv.remainder is None
+    else:
+        assert not inv.holds and inv.quotient is None and inv.remainder == x1_d.scale(-1)
+
+
+def test_check_invariance_rejects_a_zero_or_mismatched_form(power_map):
+    with pytest.raises(DomainError):
+        check_invariance(power_map.map, HomoForm.zero(2, 1))
+    with pytest.raises(DomainError):
+        check_invariance(power_map.map, parse_form("x0 - x2", 3))
+
+
 def test_invariant_hypersurface_accepted_and_checked():
     sys_line = DynSystem(parse_map(["x0^2", "x1^2"]), parse_form("x0 - x1", 2))
     assert check_invariance(sys_line.map, sys_line.hypersurface).holds
-    with pytest.raises(DomainError):
+    # x0^2 - 2*x1^2 = (x0 + 2*x1)(x0 - 2*x1) + 2*x1^2
+    with pytest.raises(DomainError, match=r"\(remainder HomoForm\('2\*x1\^2'\)\)"):
         DynSystem(parse_map(["x0^2", "x1^2"]), parse_form("x0 - 2*x1", 2))
-
-
-def test_divmod_form():
-    num = parse_form("x0^2 - x1^2", 2)
-    den = parse_form("x0 - x1", 2)
-    q, r = divmod_form(num, den)
-    assert r.is_zero() and q == parse_form("x0 + x1", 2)
-    q, r = divmod_form(parse_form("x0^2 + x1^2", 2), den)
-    assert not r.is_zero()
 
 
 def test_escape_power_map_closed_form(power_map):

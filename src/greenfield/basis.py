@@ -26,7 +26,7 @@ from functools import cached_property
 
 from .errors import DimensionMismatch, DomainError, InternalCheckError, ResourceLimit
 from .dynsys import DynSystem
-from .homopoly import HomoForm, ProjPoint, _term_sum, form_str, monomials_of_degree
+from .homopoly import HomoForm, ProjPoint, _compile, _values, form_str, monomials_of_degree
 from .linalg import IncrementalRank, det_fraction
 from .pffield import LogMag, MINUS_INFINITY, Place, abs_log
 
@@ -132,7 +132,7 @@ class GenElement:
         evaluating several elements (as `BasisFamily.row` does)."""
         if orbit is None:
             orbit = {}
-        val = _term_sum({self.eta: 1}, point.lift)
+        val = _values([_compile({self.eta: 1}, False)], point.lift)[0]
         for i, k, j in self.factors:
             while len(orbit) < k:
                 orbit[len(orbit) + 1] = system.map.image(orbit.get(len(orbit), point.lift))

@@ -31,8 +31,8 @@ from sympy.polys.orderings import lex
 from sympy.polys.rings import ring
 
 from .errors import DimensionMismatch, DomainError, InternalCheckError, NotAMorphism
-from .homopoly import (HomoForm, PolyMap, ProjPoint, _term_sum, coeff_sup_log, evaluate,
-                       iterate)
+from .homopoly import (HomoForm, PolyMap, ProjPoint, _compile, _values, coeff_sup_log,
+                       evaluate, iterate)
 from .macaulay import elimination_certificates, macaulay_degree, macaulay_resultant
 from .pffield import LogMag, Place, abs_log, sup_log
 
@@ -76,6 +76,7 @@ class DynSystem:
         self._certs = None
         self._growth: dict[Place, tuple[float, float]] = {}
         self._reduction: dict[Place, ReductionInfo] = {}
+        self._arch_tail: dict[float, tuple[int, float]] = {}  # tol -> (K, bound)
         if self.resultant == 0:
             raise NotAMorphism("not a morphism: Res(F) = 0")
         if hypersurface is not None:
@@ -231,9 +232,8 @@ def _escape_padic_bad(system: DynSystem, place: Place, lift: ProjPoint, tol: flo
     log_s_v = -place.valuation(s) * logp
     c_lo_s = c_lo - log_s_v
     c_hi_s = c_hi + log_s_v
-    int_forms = [
-        {expo: int(c * s) for expo, c in f.coeffs.items()} for f in system.map.forms
-    ]
+    int_forms = [_compile({expo: int(c * s) for expo, c in f.coeffs.items()}, False)
+                 for f in system.map.forms]
     den = 1
     for x in lift.lift:
         den = math.lcm(den, x.denominator)
@@ -254,7 +254,7 @@ def _escape_padic_bad(system: DynSystem, place: Place, lift: ProjPoint, tol: flo
     v = [x % p**W for x in v0]
     prec = W
     for k in range(K):
-        w = [_term_sum(f, v) % p**prec for f in int_forms]
+        w = [x % p**prec for x in _values(int_forms, v)]
         # entries lie in [0, p^prec), so a nonzero one has valuation < prec
         m = min((place.valuation(x) for x in w if x), default=None)
         if m is None:
@@ -269,20 +269,31 @@ def _escape_padic_bad(system: DynSystem, place: Place, lift: ProjPoint, tol: flo
     return LogMag.of_float(val, err)
 
 
+def _arch_tail(system: DynSystem, tol: float) -> tuple[int, float]:
+    """(K, bound) of the archimedean escape loop, once per (system, tol)."""
+    got = system._arch_tail.get(tol)
+    if got is None:
+        c_lo, c_hi = system.growth_constants(Place.archimedean())
+        bound = max(abs(c_lo), abs(c_hi), 1e-9)
+        got = (_tail_steps(system.degree, bound, tol), bound)
+        with system._lock:
+            system._arch_tail[tol] = got
+    return got
+
+
 def _escape_arch(system: DynSystem, lift: ProjPoint, tol: float) -> LogMag:
     d = system.degree
-    c_lo, c_hi = system.growth_constants(Place.archimedean())
-    bound = max(abs(c_lo), abs(c_hi), 1e-9)
-    K = _tail_steps(d, bound, tol)
+    K, bound = _arch_tail(system, tol)
     big = max(abs(x) for x in lift.lift)
     total = math.log(big) if lift.numeric else abs_log(Place.archimedean(), big).arch
     start = ProjPoint.of_numeric([x / big for x in lift.lift])
     parts = [total]
     scale = 1.0
+    forms = system.map._terms(True)
     for k in range(K):
         # step 1 via `evaluate`: perfbench/test_perfbench.py expects its span
-        w = system.map.image(q) if k else [evaluate(f, start) for f in system.map.forms]
-        m = max(abs(x) for x in w)
+        w = _values(forms, q) if k else [evaluate(f, start) for f in system.map.forms]
+        m = max(map(abs, w))
         if m == 0.0:
             raise InternalCheckError("orbit underflowed to zero at the archimedean place")
         scale /= d

@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .basis import BasisFamily, _wedge_terms, section_dim, t2_floor
+from .basis import BasisFamily, section_dim, t2_floor
 from .dynsys import DynSystem, escape_rate
 from .errors import DomainError, PreconditionError
 from .homopoly import ProjPoint, evaluate
@@ -130,7 +130,9 @@ def fekete_search(system: DynSystem, basis: BasisFamily, budget: int,
     The objective is log|det| of the lifts by `BasisFamily.det`'s
     factorization, log|det C| plus the fsum of the wedge logs
     log|P_i ^ P_j| (-inf on a zero wedge), without `det_log`'s error
-    bound.  The Leja start picks, one at a time, the pool point whose
+    bound.  A probe that moves one point recomputes only that point's
+    c - 1 wedge logs; while the objective is -inf it rescores from
+    scratch.  The Leja start picks, one at a time, the pool point whose
     log wedges to the points picked before sum highest (ties to the
     lowest pool index); a pool smaller than c(n) is filled with evenly
     spread angles.  The start evaluates at least c(n) angles, so a budget
@@ -167,9 +169,23 @@ def fekete_search(system: DynSystem, basis: BasisFamily, budget: int,
             got = cache[theta] = pt.scaled(cmath.exp(-rate.total()))
         return got.lift
 
-    def log_det_of(ths):
-        wedges = [abs(a - b) for a, b in _wedge_terms([lift_at(th) for th in ths])]
-        return log_det_c + math.fsum(map(math.log, wedges)) if all(wedges) else -math.inf
+    def wedge_logs(pts, i):
+        """log|P_i ^ P_j| for every j (0.0 at j = i); None on a zero wedge."""
+        x, y = pts[i]
+        row = [abs(x * yj - xj * y) for xj, yj in pts]
+        row[i] = 1.0
+        return [math.log(w) for w in row] if all(row) else None
+
+    def pair_logs(rows):
+        """Each wedge log once: row i's entries for j > i."""
+        return [v for i, r in enumerate(rows) for v in r[i + 1:]]
+
+    def objective(pts):
+        """(log|det|, every point's wedge logs) of a tuple, from scratch."""
+        rows = [wedge_logs(pts, i) for i in range(c)]
+        if any(r is None for r in rows):
+            return -math.inf, None
+        return log_det_c + math.fsum(pair_logs(rows)), rows
 
     pool_size = min(max(4 * c, 48), max(budget - c, 1))
     pool = [rng.uniform(0.0, 2.0 * math.pi) for _ in range(pool_size)]
@@ -188,7 +204,9 @@ def fekete_search(system: DynSystem, basis: BasisFamily, budget: int,
     while len(thetas) < c:  # degenerate pool; spread points evenly
         thetas.append(2.0 * math.pi * len(thetas) / c)
 
-    current = log_det_of(thetas)
+    pts = [lift_at(th) for th in thetas]
+    current, rows = objective(pts)
+    cur_logs = None if rows is None else pair_logs(rows)
     window = math.pi / max(c, 2)
     while evals < budget:
         sweep_start = evals
@@ -203,9 +221,25 @@ def fekete_search(system: DynSystem, basis: BasisFamily, budget: int,
                     break
                 cand = list(thetas)
                 cand[i] = thetas[i] + off
-                val = log_det_of(cand)
+                cand_pts = list(pts)
+                cand_pts[i] = lift_at(cand[i])
+                if rows is None:
+                    val, cand_rows = objective(cand_pts)
+                else:
+                    # only the moved point's wedges change; fsum rounds the
+                    # exact sum once, so this equals the full recomputation
+                    new_row = wedge_logs(cand_pts, i)
+                    val = -math.inf if new_row is None else log_det_c + math.fsum(
+                        cur_logs + [-v for v in rows[i]] + new_row)
                 if val > current:
-                    thetas, current = cand, val
+                    thetas, pts, current = cand, cand_pts, val
+                    if rows is None:
+                        rows = cand_rows
+                    else:
+                        rows[i] = new_row
+                        for r, v in zip(rows, new_row):
+                            r[i] = v
+                    cur_logs = pair_logs(rows)
                     improved = True
         window *= 0.9 if improved else 0.5
         if window < 1e-15 or evals == sweep_start:

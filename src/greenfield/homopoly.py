@@ -4,13 +4,16 @@ Forms are stored sparsely as {exponent tuple: nonzero Fraction} with a
 canonical descending-lex term order (x0-major), which makes iteration,
 serialization and the greedy basis extraction deterministic.
 
-Every value of a form at a point comes from one kernel, `_term_sum`,
-which computes sum(c * x^expo) in the arithmetic of the coordinates:
-exactly for Fractions (exact lifts) and ints (the p-adic escape loop
-reduces the integer value mod p^W), and with compensated summation for
-complex binary64 coordinates (numeric lifts).  `evaluate` wraps it for
-one form at a `ProjPoint`; `PolyMap.image` applies all coordinate forms
-to a bare coordinate vector, which is one orbit step.
+Every value of a form at a point comes from one kernel, `_values`, which
+takes forms compiled by `_compile` into term lists (coefficient,
+((i, a), ...)) with zero exponents dropped, and computes each
+sum(c * x^expo) in the arithmetic of the coordinates: exactly for
+Fractions (exact lifts) and ints (the p-adic escape loop reduces the
+integer value mod p^W), and with compensated summation (math.fsum of the
+real and imaginary parts) for complex binary64 coordinates (numeric
+lifts), whose terms carry complex coefficients.  A `PolyMap` compiles
+its forms once per arithmetic, so `PolyMap.image`, one orbit step, is a
+single kernel call; `evaluate` compiles one form at a `ProjPoint`.
 """
 
 import math
@@ -253,20 +256,42 @@ class ProjPoint:
         return f"ProjPoint({tag}, {list(self.lift)})"
 
 
-def _term_sum(coeffs: dict, coords):
-    """sum(c * x^expo) over the {expo: c} dict at the coordinate vector.
-    Complex coordinates sum the real and imaginary parts with math.fsum;
-    anything else (ints, Fractions) sums exactly, starting from int 0 so
-    that integer values stay ints."""
-    terms = []
-    for expo, c in coeffs.items():
-        for x, a in zip(coords, expo):
-            if a:
-                c = c * x**a
-        terms.append(c)
+def _compile(coeffs: dict, numeric: bool) -> list:
+    """The terms of a form as (coefficient, ((i, a), ...)) in dict order,
+    zero exponents dropped; complex coefficients when numeric."""
+    try:
+        return [(complex(c) if numeric else c, tuple((i, a) for i, a in enumerate(expo) if a))
+                for expo, c in coeffs.items()]
+    except OverflowError:
+        raise DomainError("a coefficient lies outside the binary64 range") from None
+
+
+def _values(forms: list, coords) -> tuple:
+    """sum(c * x^a) of each compiled form at the coordinate vector, each
+    term multiplied out in coordinate order.  Complex coordinates sum the
+    real and imaginary parts with math.fsum; anything else (ints,
+    Fractions) sums exactly, starting from int 0 so that integer values
+    stay ints."""
+    out = []
     if isinstance(coords[0], complex):
-        return complex(math.fsum([t.real for t in terms]), math.fsum([t.imag for t in terms]))
-    return sum(terms)
+        fsum = math.fsum
+        for terms in forms:
+            re, im = [], []
+            for c, powers in terms:
+                for i, a in powers:
+                    c = c * coords[i] ** a
+                re.append(c.real)
+                im.append(c.imag)
+            out.append(complex(fsum(re), fsum(im)))
+    else:
+        for terms in forms:
+            s = 0
+            for c, powers in terms:
+                for i, a in powers:
+                    c = c * coords[i] ** a
+                s += c
+            out.append(s)
+    return tuple(out)
 
 
 def evaluate(form: HomoForm, point: ProjPoint):
@@ -274,14 +299,14 @@ def evaluate(form: HomoForm, point: ProjPoint):
     compensated summation in numeric mode."""
     if len(point.lift) != form.nvars:
         raise DimensionMismatch("point/form dimension mismatch")
-    return _term_sum(form.coeffs, point.lift)
+    return _values([_compile(form.coeffs, point.numeric)], point.lift)[0]
 
 
 class PolyMap:
     """N+1 homogeneous forms of common degree d >= 2: a lift of a
     self-map of projective N-space."""
 
-    __slots__ = ("forms", "nvars", "degree", "_complex_coeffs")
+    __slots__ = ("forms", "nvars", "degree", "_compiled")
 
     def __init__(self, forms: list[HomoForm]):
         forms = list(forms)
@@ -303,23 +328,25 @@ class PolyMap:
         self.forms = forms
         self.nvars = nvars
         self.degree = degree
-        self._complex_coeffs = None
+        self._compiled = [None, None]  # term lists: exact, complex
 
     @property
     def N(self) -> int:
         return self.nvars - 1
 
+    def _terms(self, numeric: bool) -> list:
+        """The forms compiled for `_values`, once per arithmetic."""
+        got = self._compiled[numeric]
+        if got is None:
+            got = self._compiled[numeric] = [_compile(f.coeffs, numeric) for f in self.forms]
+        return got
+
     def image(self, coords) -> tuple:
         """The values of the coordinate forms at a coordinate vector (one
-        orbit step); complex vectors use coefficients converted once."""
+        orbit step)."""
         if len(coords) != self.nvars:
             raise DimensionMismatch("point/map dimension mismatch")
-        if isinstance(coords[0], complex):
-            if self._complex_coeffs is None:
-                self._complex_coeffs = [{e: complex(c) for e, c in f.coeffs.items()}
-                                        for f in self.forms]
-            return tuple(_term_sum(cc, coords) for cc in self._complex_coeffs)
-        return tuple(_term_sum(f.coeffs, coords) for f in self.forms)
+        return _values(self._terms(isinstance(coords[0], complex)), coords)
 
     def __call__(self, point: ProjPoint) -> ProjPoint:
         # ProjPoint rejects an all-zero image (a common projective zero)

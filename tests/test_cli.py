@@ -250,6 +250,21 @@ def test_exit_codes(capsys, tmp_path, power_cfg, half_cfg):
         "error: orbit underflowed to zero at the archimedean place\n"
 
 
+def test_coefficients_beyond_binary64_are_domain_errors(capsys, tmp_path):
+    # every command that works at infinity converts the coefficients to
+    # complex binary64 once; 10^400 has no such value
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps({"N": 1, "d": 2, "forms": [f"x0^2 + {10**400}*x1^2", "x1^2"]}))
+    path = str(huge)
+    for argv in (["escape", path, "--point", "1,1", "--place", "inf"],
+                 ["height", path, "--point", "1,1"],
+                 ["green", path, "--n", "2", "--points", "0,1;1,1;2,1", "--place", "inf"],
+                 ["fekete", path, "--n", "2", "--budget", "50"]):
+        capsys.readouterr()
+        assert run(argv) == 1
+        assert capsys.readouterr().err == "error: a coefficient lies outside the binary64 range\n"
+
+
 def test_local_entries_follow_the_ledger_rule(capsys, half_cfg):
     # every local entry reports value = total(), error = arch_err and
     # exact = is_exact, the Weil block included

@@ -22,6 +22,8 @@ DEGENERATE = str(GOLDEN / "degenerate_p2.json")
 DENSE = str(GOLDEN / "dense_d3n3.json")
 # a (3,3) morphism whose identity Macaulay minor is singular
 SPARSE = str(GOLDEN / "sparse_d3n3.json")
+# three terms in x0's form, so the compensated sum differs from plain +
+CUBIC = str(GOLDEN / "cubic.json")
 CURVE = ["--curve", "0,-2", "--point", "3,5"]
 # x(40P) has 12,927 bits, inside the lattes benchmark's height band; at
 # n = 12 the determinant prints with about 14,000 characters
@@ -35,6 +37,7 @@ CASES = {
     "resultant_sparse_d3n3": (["resultant", SPARSE], 0),
     "height": (["height", HALF, "--point", "3/2,1"], 0),
     "escape_inf": (["escape", HALF, "--point", "3/2,1", "--place", "inf"], 0),
+    "escape_inf_cubic": (["escape", CUBIC, "--point", "5/3,1", "--place", "inf"], 0),
     "escape_p2_bad": (["escape", HALF, "--point", "3/2,1", "--place", "p=2"], 0),
     "escape_p3_good": (["escape", HALF, "--point", "3/2,1", "--place", "p=3"], 0),
     "basis": (["basis", HALF, "--n", "8"], 0),
@@ -44,6 +47,7 @@ CASES = {
     "green_witness_p2": (["green", HALF, "--n", "4", "--points", "0,1;1,1;2,1;3,1;1,2",
                           "--place", "p=2", "--witness"], 0),
     "fekete": (["fekete", HALF, "--n", "8", "--budget", "600"], 0),
+    "fekete_cubic": (["fekete", CUBIC, "--n", "8", "--budget", "600"], 0),
     "adelic_report": (["adelic-report", HALF, "--n", "4,8", "--budget", "300",
                        "--csv", "{csv}"], 0),
     "multiples": (["multiples", *CURVE, "--n", "4"], 0),

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import types
 from fractions import Fraction
 
 import mpmath
@@ -8,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from greenfield.basis import BasisFamily, GenElement, monomial_basis, special_basis
+from greenfield import green as green_module
+from greenfield.basis import (BasisFamily, GenElement, _wedge_terms, monomial_basis,
+                              special_basis)
 from greenfield.dynsys import DynSystem
 from greenfield.errors import DimensionMismatch, DomainError, PreconditionError
 from greenfield.experiments import roots_of_unity_tuple
@@ -363,20 +366,32 @@ def test_fekete_deterministic_and_monotone(power_map):
     assert a.witness.total() >= small.witness.total() - 1e-15
 
 
+def _full_objective(basis, lifts):
+    """log|det C| + fsum of every wedge log of the lifts, from scratch."""
+    wedges = [abs(a - b) for a, b in _wedge_terms([pt.lift for pt in lifts])]
+    if not all(wedges):
+        return -math.inf
+    return abs_log(ARCH, basis._coeff_det).total() + math.fsum(map(math.log, wedges))
+
+
 FEKETE_MAPS = {
     "half": ["x0^2 + 1/2*x1^2", "x1^2"],
     "sevensixths": ["x0^2 - 7/6*x1^2", "x1^2"],
     "power": ["x0^2", "x1^2"],
+    "cubic": ["x0^3 - 2*x0*x1^2 + 1/5*x1^3", "x1^3"],
 }
 
 
-@pytest.mark.parametrize("seed", [3, 7])
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5, 7])
 @pytest.mark.parametrize("name", sorted(FEKETE_MAPS))
 def test_fekete_witness_is_certified_from_its_lifts(name, seed):
     system = DynSystem(parse_map(FEKETE_MAPS[name]))
     basis = special_basis(system, 8)
     n, c = 8, basis.cn
     res = fekete_search(system, basis, 600, seed=seed)
+    # a probe rescores only the moved point's wedges; fsum rounds the exact
+    # sum once, so the score is the full recomputation bit for bit
+    assert res.log_det == _full_objective(basis, res.lifts)
     assert res.witness == dbn_witness(system, basis, res.lifts, ARCH, 1e-12)
     # the lifts were scaled to escape rate 0, so the witness is the
     # search's objective over (n c) up to the escape rates' errors
@@ -404,6 +419,28 @@ def test_fekete_budget_covers_the_start(half_map):
     with pytest.raises(DomainError, match=r"budget 8 is below c\(n\) = 9"):
         fekete_search(half_map, basis, 8, seed=7)
     assert fekete_search(half_map, basis, 9, seed=7).evaluations == 9
+
+
+def test_fekete_recovers_from_a_start_with_a_zero_wedge(half_map, monkeypatch):
+    class Repeating:
+        """Every draw is the midpoint, so the pool holds one angle twice."""
+
+        def __init__(self, seed):
+            pass
+
+        def uniform(self, a, b):
+            return (a + b) / 2
+
+    monkeypatch.setattr(green_module, "random", types.SimpleNamespace(Random=Repeating))
+    basis = special_basis(half_map, 8)
+    c = basis.cn
+    # budget c + 2 makes a pool of two equal angles, and the Leja start
+    # takes both: its objective is -inf, so probes rescore from scratch
+    # until one separates the pair, and incrementally after that
+    res = fekete_search(half_map, basis, c + 2, seed=0)
+    assert res.evaluations == c + 2
+    assert math.isfinite(res.log_det)
+    assert res.log_det == _full_objective(basis, res.lifts)
 
 
 def test_fekete_needs_p1_without_chart(power_map_p2):

@@ -3,12 +3,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from greenfield.errors import DimensionMismatch, DomainError, InputError
-from greenfield.homopoly import (HomoForm, PolyMap, ProjPoint, coeff_sup_log,
-                                 compose, evaluate, form_str, iterate,
+from greenfield.homopoly import (HomoForm, PolyMap, ProjPoint, _compile, _values,
+                                 coeff_sup_log, compose, evaluate, form_str, iterate,
                                  monomials_of_degree, parse_form, parse_map)
 from greenfield.pffield import Place
 
@@ -174,6 +174,73 @@ def test_serialize_parse_roundtrip_bytewise(f):
     again = parse_form(text, f.nvars)
     assert again == f
     assert form_str(again) == text
+
+
+@st.composite
+def _maps_with_points(draw):
+    """A map with N = 1..3 and d = 2..4 (coefficients include +-1, forms
+    up to every monomial) and a complex, a rational and an integer point."""
+    nvars = draw(st.integers(2, 4))
+    degree = draw(st.integers(2, 4))
+    monos = monomials_of_degree(nvars, degree)
+    coeff = st.one_of(st.sampled_from([Fraction(1), Fraction(-1)]),
+                      st.fractions(-50, 50, max_denominator=100).filter(bool))
+    forms = [HomoForm(nvars, degree, draw(st.dictionaries(st.sampled_from(monos), coeff,
+                                                          max_size=len(monos))))
+             for _ in range(nvars)]
+    assume(not all(f.is_zero() for f in forms))
+    z = st.complex_numbers(max_magnitude=4, allow_nan=False, allow_infinity=False)
+    cpx = draw(st.lists(z, min_size=nvars, max_size=nvars).filter(any))
+    rat = draw(st.lists(st.fractions(-9, 9, max_denominator=9), min_size=nvars,
+                        max_size=nvars).filter(any))
+    ints = draw(st.lists(st.integers(-99, 99), min_size=nvars, max_size=nvars))
+    return PolyMap(forms), cpx, rat, ints
+
+
+def _bits(z):
+    return z.real.hex(), z.imag.hex()
+
+
+@given(_maps_with_points())
+def test_compiled_kernel_keeps_the_term_arithmetic(case):
+    pm, cpx, rat, ints = case
+    # each term c * x^a multiplied out in coordinate order, zero exponents
+    # skipped, real and imaginary parts summed with fsum
+    want = []
+    for f in pm.forms:
+        terms = []
+        for expo, c in f.coeffs.items():
+            c = complex(c)
+            for x, a in zip(cpx, expo):
+                if a:
+                    c = c * x**a
+            terms.append(c)
+        want.append(complex(math.fsum([t.real for t in terms]),
+                            math.fsum([t.imag for t in terms])))
+    got = pm.image(cpx)
+    assert [_bits(z) for z in got] == [_bits(z) for z in want]
+    point = ProjPoint.of_numeric(cpx)
+    assert [_bits(evaluate(f, point)) for f in pm.forms] == [_bits(z) for z in want]
+
+    def exact_sum(coeffs, coords):
+        return sum(c * math.prod(x**a for x, a in zip(coords, expo))
+                   for expo, c in coeffs.items())
+
+    assert pm.image(rat) == tuple(exact_sum(f.coeffs, rat) for f in pm.forms)
+    assert pm.image(ints) == tuple(exact_sum(f.coeffs, ints) for f in pm.forms)
+    # integer coefficients at integer coordinates stay ints (the p-adic step)
+    den = math.lcm(*(c.denominator for f in pm.forms for c in f.coeffs.values()))
+    int_forms = [{e: int(c * den) for e, c in f.coeffs.items()} for f in pm.forms]
+    got = _values([_compile(f, False) for f in int_forms], ints)
+    assert all(type(v) is int for v in got)
+    assert list(got) == [exact_sum(f, ints) for f in int_forms]
+
+
+def test_complex_terms_beyond_binary64_are_domain_errors():
+    pm = parse_map([f"x0^2 + {10**400}*x1^2", "x1^2"])
+    with pytest.raises(DomainError, match="binary64"):
+        pm.image((1j, 1.0))
+    assert pm.image((1, 1)) == (10**400 + 1, 1)
 
 
 def test_parse_form_rejects_bad_input():

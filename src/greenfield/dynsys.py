@@ -288,17 +288,12 @@ def _escape_arch(system: DynSystem, lift: ProjPoint, tol: float) -> LogMag:
     total = math.log(big) if lift.numeric else abs_log(Place.archimedean(), big).arch
     start = ProjPoint.of_numeric([x / big for x in lift.lift])
     parts = [total]
-    scale = 1.0
-    forms = system.map._terms(True)
-    for k in range(K):
-        # step 1 via `evaluate`: perfbench/test_perfbench.py expects its span
-        w = _values(forms, q) if k else [evaluate(f, start) for f in system.map.forms]
-        m = max(map(abs, w))
-        if m == 0.0:
-            raise InternalCheckError("orbit underflowed to zero at the archimedean place")
-        scale /= d
-        parts.append(scale * math.log(m))
-        q = [x / m for x in w]
+    if K:
+        try:
+            # step 1 via `evaluate`: perfbench/test_perfbench.py expects its span
+            system.map._orbit()(*[evaluate(f, start) for f in system.map.forms], K, parts)
+        except OverflowError:  # fsum's partial sums, or abs of a value
+            raise DomainError("an orbit value lies outside the binary64 range") from None
     val = math.fsum(parts)
     float_slop = (K + 2) * 1e-14 * (1.0 + abs(val)) + 1e-15
     err = bound / (d**K * (d - 1)) + float_slop

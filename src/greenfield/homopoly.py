@@ -4,23 +4,31 @@ Forms are stored sparsely as {exponent tuple: nonzero Fraction} with a
 canonical descending-lex term order (x0-major), which makes iteration,
 serialization and the greedy basis extraction deterministic.
 
-Every value of a form at a point comes from one kernel, `_values`, which
+Values of forms at points come from one generic kernel, `_values`, which
 takes forms compiled by `_compile` into term lists (coefficient,
 ((i, a), ...)) with zero exponents dropped, and computes each
 sum(c * x^expo) in the arithmetic of the coordinates: exactly for
 Fractions (exact lifts) and ints (the p-adic escape loop reduces the
 integer value mod p^W), and with compensated summation (math.fsum of the
 real and imaginary parts) for complex binary64 coordinates (numeric
-lifts), whose terms carry complex coefficients.  A `PolyMap` compiles
-its forms once per arithmetic, so `PolyMap.image`, one orbit step, is a
-single kernel call; `evaluate` compiles one form at a `ProjPoint`.
+lifts), whose terms carry complex coefficients.  Each `HomoForm` caches
+its compilation per arithmetic (a derived form starts uncompiled), so
+`evaluate` at a `ProjPoint` and `PolyMap.image`, one orbit step, are
+single kernel calls that compile nothing after the first.
+
+The archimedean escape loop runs its later steps outside `_values`:
+`PolyMap._orbit` generates, once per map, a straight-line orbit function
+from the complex term lists (`_orbit_kernel`) that does the same float
+operations in the same order on scalar locals, so its values agree with
+the kernel's bit for bit.
 """
 
 import math
 import re
 from fractions import Fraction
 
-from .errors import DimensionMismatch, DomainError, InputError, ResourceLimit
+from .errors import (DimensionMismatch, DomainError, InputError, InternalCheckError,
+                     ResourceLimit)
 from .pffield import LogMag, Place, parse_rational, sup_log
 
 # Intermediate expansion cap for products/compositions (total stored terms).
@@ -45,7 +53,7 @@ def monomials_of_degree(nvars: int, degree: int):
 class HomoForm:
     """A homogeneous form with exact rational coefficients."""
 
-    __slots__ = ("nvars", "degree", "coeffs")
+    __slots__ = ("nvars", "degree", "coeffs", "_compiled")
 
     def __init__(self, nvars: int, degree: int, coeffs: dict):
         if nvars < 1:
@@ -66,6 +74,16 @@ class HomoForm:
         self.nvars = nvars
         self.degree = degree
         self.coeffs = clean
+        self._compiled = [None, None]  # term lists: exact, complex
+
+    @staticmethod
+    def _of(nvars: int, degree: int, coeffs: dict) -> "HomoForm":
+        """A form over coefficients that are already clean (nonzero
+        Fractions on valid exponents), with an empty compile cache."""
+        out = HomoForm.__new__(HomoForm)
+        out.nvars, out.degree, out.coeffs = nvars, degree, coeffs
+        out._compiled = [None, None]
+        return out
 
     @staticmethod
     def zero(nvars: int, degree: int) -> "HomoForm":
@@ -108,25 +126,18 @@ class HomoForm:
                 coeffs.pop(expo, None)
             else:
                 coeffs[expo] = s
-        out = HomoForm.__new__(HomoForm)
-        out.nvars, out.degree, out.coeffs = self.nvars, self.degree, coeffs
-        return out
+        return HomoForm._of(self.nvars, self.degree, coeffs)
 
     def __neg__(self) -> "HomoForm":
-        out = HomoForm.__new__(HomoForm)
-        out.nvars, out.degree = self.nvars, self.degree
-        out.coeffs = {e: -c for e, c in self.coeffs.items()}
-        return out
+        return HomoForm._of(self.nvars, self.degree, {e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other: "HomoForm") -> "HomoForm":
         return self + (-other)
 
     def scale(self, c) -> "HomoForm":
         c = Fraction(c)
-        out = HomoForm.__new__(HomoForm)
-        out.nvars, out.degree = self.nvars, self.degree
-        out.coeffs = {} if c == 0 else {e: q * c for e, q in self.coeffs.items()}
-        return out
+        return HomoForm._of(self.nvars, self.degree,
+                            {} if c == 0 else {e: q * c for e, q in self.coeffs.items()})
 
     def __mul__(self, other: "HomoForm") -> "HomoForm":
         if self.nvars != other.nvars:
@@ -142,10 +153,7 @@ class HomoForm:
                     coeffs[e] = s
             if len(coeffs) > TERM_CAP:
                 raise ResourceLimit(f"product exceeds {TERM_CAP} terms")
-        out = HomoForm.__new__(HomoForm)
-        out.nvars, out.degree = self.nvars, self.degree + other.degree
-        out.coeffs = coeffs
-        return out
+        return HomoForm._of(self.nvars, self.degree + other.degree, coeffs)
 
     def __pow__(self, k: int) -> "HomoForm":
         if k < 0:
@@ -161,6 +169,13 @@ class HomoForm:
             if k:
                 base = base * base
         return acc
+
+    def _terms(self, numeric: bool) -> list:
+        """The form compiled for `_values`, once per arithmetic."""
+        got = self._compiled[numeric]
+        if got is None:
+            got = self._compiled[numeric] = _compile(self.coeffs, numeric)
+        return got
 
     def _check_compatible(self, other):
         if self.nvars != other.nvars:
@@ -294,19 +309,68 @@ def _values(forms: list, coords) -> tuple:
     return tuple(out)
 
 
+def _orbit_kernel(forms: list, degree: int):
+    """The renormalized archimedean orbit loop of complex-compiled forms,
+    generated as one function orbit(w0, ..., wN, steps, parts).  Given
+    the first image w of a point, each of the `steps` passes takes
+    m = max|w_i| (in coordinate order), appends d^-k log(m) to parts and,
+    unless it is the last, replaces w by the image of w / m.  Each term
+    is straight-line ((c * x_i ** a) * x_j ** b) in coordinate order,
+    every power x_i ** a computed once per step, and each value is
+    complex(fsum(real parts), fsum(imaginary parts)): the arithmetic of
+    `_values`, bit for bit.  The source holds only indices, exponents and
+    generated names; the coefficients are bound by name in the
+    function's globals."""
+    n = len(forms)
+    ns = {"fsum": math.fsum, "log": math.log, "d": degree,
+          "InternalCheckError": InternalCheckError,
+          "UNDERFLOW": "orbit underflowed to zero at the archimedean place"}
+    body = [f"x{i} = w{i} / m" for i in range(n)]
+    body += [f"p{i}_{a} = x{i} ** {a}"
+             for i, a in sorted({p for terms in forms for _, powers in terms for p in powers})]
+    for k, terms in enumerate(forms):
+        names = []
+        for j, (c, powers) in enumerate(terms):
+            ns[f"c{k}_{j}"] = c
+            expr = f"c{k}_{j}"
+            for i, a in powers:
+                expr = f"({expr} * p{i}_{a})"
+            body.append(f"t{k}_{j} = {expr}")
+            names.append(f"t{k}_{j}")
+        body.append(f"w{k} = complex(fsum([{', '.join(t + '.real' for t in names)}]), "
+                    f"fsum([{', '.join(t + '.imag' for t in names)}]))")
+    ws = [f"w{i}" for i in range(n)]
+    norm = f"max({', '.join(f'abs({w})' for w in ws)})" if n > 1 else "abs(w0)"
+    src = "\n".join([f"def orbit({', '.join(ws)}, steps, parts):",
+                     "    append = parts.append",
+                     "    scale = 1.0",
+                     "    while True:",
+                     f"        m = {norm}",
+                     "        if m == 0.0:",
+                     "            raise InternalCheckError(UNDERFLOW)",
+                     "        scale /= d",
+                     "        append(scale * log(m))",
+                     "        steps -= 1",
+                     "        if not steps:",
+                     "            return",
+                     *("        " + line for line in body)])
+    exec(compile(src, "<orbit kernel>", "exec"), ns)
+    return ns["orbit"]
+
+
 def evaluate(form: HomoForm, point: ProjPoint):
     """Value of the form at a lift: exact Fraction, or complex with
     compensated summation in numeric mode."""
     if len(point.lift) != form.nvars:
         raise DimensionMismatch("point/form dimension mismatch")
-    return _values([_compile(form.coeffs, point.numeric)], point.lift)[0]
+    return _values([form._terms(point.numeric)], point.lift)[0]
 
 
 class PolyMap:
     """N+1 homogeneous forms of common degree d >= 2: a lift of a
     self-map of projective N-space."""
 
-    __slots__ = ("forms", "nvars", "degree", "_compiled")
+    __slots__ = ("forms", "nvars", "degree", "_kernel")
 
     def __init__(self, forms: list[HomoForm]):
         forms = list(forms)
@@ -328,18 +392,21 @@ class PolyMap:
         self.forms = forms
         self.nvars = nvars
         self.degree = degree
-        self._compiled = [None, None]  # term lists: exact, complex
+        self._kernel = None  # the generated orbit loop, built on first use
 
     @property
     def N(self) -> int:
         return self.nvars - 1
 
     def _terms(self, numeric: bool) -> list:
-        """The forms compiled for `_values`, once per arithmetic."""
-        got = self._compiled[numeric]
-        if got is None:
-            got = self._compiled[numeric] = [_compile(f.coeffs, numeric) for f in self.forms]
-        return got
+        """The forms' compiled term lists, from each form's cache."""
+        return [f._terms(numeric) for f in self.forms]
+
+    def _orbit(self):
+        """The map's generated archimedean orbit loop (`_orbit_kernel`)."""
+        if self._kernel is None:
+            self._kernel = _orbit_kernel(self._terms(True), self.degree)
+        return self._kernel
 
     def image(self, coords) -> tuple:
         """The values of the coordinate forms at a coordinate vector (one

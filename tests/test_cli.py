@@ -265,6 +265,18 @@ def test_coefficients_beyond_binary64_are_domain_errors(capsys, tmp_path):
         assert capsys.readouterr().err == "error: a coefficient lies outside the binary64 range\n"
 
 
+def test_values_beyond_binary64_are_domain_errors(capsys, tmp_path):
+    # the coefficients fit binary64, but 10^308 + 10^308 at (1, 1) does not
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({"N": 1, "d": 2,
+                               "forms": [f"{10**308}*x0^2 + {10**308}*x1^2", "x1^2"]}))
+    for argv in (["escape", str(big), "--place", "inf", "--point", "1,1"],
+                 ["height", str(big), "--point", "1,1"]):
+        capsys.readouterr()
+        assert run(argv) == 1
+        assert capsys.readouterr().err == "error: an orbit value lies outside the binary64 range\n"
+
+
 def test_local_entries_follow_the_ledger_rule(capsys, half_cfg):
     # every local entry reports value = total(), error = arch_err and
     # exact = is_exact, the Weil block included

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from greenfield.dynsys import (DynSystem, Membership, check_invariance, escape_rate,
-                               membership_of)
-from greenfield.errors import DimensionMismatch, DomainError, NotAMorphism
-from greenfield.homopoly import (HomoForm, PolyMap, ProjPoint, monomials_of_degree, parse_form,
-                                 parse_map)
-from greenfield.pffield import Place
+from greenfield.dynsys import (DynSystem, Membership, _arch_tail, _escape_arch, check_invariance,
+                               escape_rate, membership_of)
+from greenfield.errors import DimensionMismatch, DomainError, InternalCheckError, NotAMorphism
+from greenfield.homopoly import (HomoForm, PolyMap, ProjPoint, _compile, _values,
+                                 monomials_of_degree, parse_form, parse_map)
+from greenfield.pffield import Place, abs_log
 
 ARCH = Place.archimedean()
 GOLDEN_SQ = (3 + math.sqrt(5)) / 2  # w with w + 1/w = 3
@@ -111,6 +111,97 @@ def test_escape_functional_equation(power_map, chebyshev, half_map):
                 r1 = escape_rate(system, place, pt, tol)
                 r2 = escape_rate(system, place, system.map(pt), tol)
                 assert abs(r2.total() - d * r1.total()) <= 2 * tol + d * r1.arch_err + r2.arch_err
+
+
+def _reference_escape_arch(system, lift, tol):
+    """The archimedean escape loop as one `_values` call per step: the
+    value, its error bound and the summed parts."""
+    d = system.degree
+    K, bound = _arch_tail(system, tol)
+    big = max(abs(x) for x in lift.lift)
+    total = math.log(big) if lift.numeric else abs_log(ARCH, big).arch
+    q = [complex(x / big) for x in lift.lift]
+    forms = [_compile(f.coeffs, True) for f in system.map.forms]
+    parts = [total]
+    scale = 1.0
+    for _ in range(K):
+        w = _values(forms, q)
+        m = max(map(abs, w))
+        if m == 0.0:
+            raise InternalCheckError("underflow")
+        scale /= d
+        parts.append(scale * math.log(m))
+        q = [x / m for x in w]
+    val = math.fsum(parts)
+    float_slop = (K + 2) * 1e-14 * (1.0 + abs(val)) + 1e-15
+    return val, bound / (d**K * (d - 1)) + float_slop, parts
+
+
+@st.composite
+def _sparse_systems_with_starts(draw):
+    """N = 1, 2 and d = 2..4; f_i is a rational multiple of x_i^d plus up
+    to three more terms, so single-term forms occur; the start has at
+    least one zero coordinate."""
+    nvars = draw(st.integers(2, 3))
+    d = draw(st.integers(2, 4))
+    coeff = st.fractions(-30, 30, max_denominator=12).filter(bool)
+    forms = []
+    for i in range(nvars):
+        coeffs = draw(st.dictionaries(st.sampled_from(monomials_of_degree(nvars, d)), coeff,
+                                      max_size=3))
+        coeffs[tuple(d if j == i else 0 for j in range(nvars))] = draw(coeff)
+        forms.append(HomoForm(nvars, d, coeffs))
+    try:
+        system = DynSystem(PolyMap(forms))
+    except NotAMorphism:
+        assume(False)
+    zero = draw(st.integers(0, nvars - 1))
+    if draw(st.booleans()):
+        z = st.complex_numbers(max_magnitude=9, allow_nan=False, allow_infinity=False)
+        coords = draw(st.lists(z, min_size=nvars, max_size=nvars))
+        coords[zero] = 0j
+        assume(any(coords))
+        lift = ProjPoint.of_numeric(coords)
+    else:
+        coords = draw(st.lists(st.fractions(-9, 9, max_denominator=9), min_size=nvars,
+                               max_size=nvars))
+        coords[zero] = Fraction(0)
+        assume(any(coords))
+        lift = ProjPoint.exact(coords)
+    return system, lift, draw(st.sampled_from([1e-3, 1e-9, 1e-12, 10.0]))
+
+
+@settings(max_examples=80)
+@given(_sparse_systems_with_starts())
+def test_orbit_kernel_matches_the_term_loop_bit_for_bit(case):
+    system, lift, tol = case
+    got = _escape_arch(system, lift, tol)
+    val, err, parts = _reference_escape_arch(system, lift, tol)
+    assert (got.arch.hex(), got.arch_err.hex()) == (val.hex(), err.hex())
+    # each step's term, which the sum rounds away after the first few
+    if len(parts) > 1:
+        big = max(abs(x) for x in lift.lift)
+        start = [complex(x / big) for x in lift.lift]
+        steps = parts[:1]
+        system.map._orbit()(*_values(system.map._terms(True), start), len(parts) - 1, steps)
+        assert [x.hex() for x in steps] == [x.hex() for x in parts]
+
+
+def test_orbit_values_beyond_binary64_are_domain_errors():
+    c = 10**308
+    # 2*10^308 at step 1 (fsum of the real parts in `evaluate`)
+    system = DynSystem(parse_map([f"{c}*x0^2 + {c}*x1^2", "x1^2"]))
+    with pytest.raises(DomainError, match="orbit value"):
+        escape_rate(system, ARCH, ProjPoint.exact([1, 1]), 1e-9)
+    # real and imaginary parts of about 1.41e308 each: abs overflows
+    z = complex(math.cos(math.pi / 8), math.sin(math.pi / 8))
+    with pytest.raises(DomainError, match="orbit value"):
+        escape_rate(system, ARCH, ProjPoint.of_numeric([z, z]), 1e-9)
+    # (1, t) -> (1, (t + t^2) / (1 + t^2)) creeps towards (1, 1), so a
+    # later step of the generated kernel overflows
+    system = DynSystem(parse_map([f"{c}*x0^2 + {c}*x1^2", f"{c}*x0*x1 + {c}*x1^2"]))
+    with pytest.raises(DomainError, match="orbit value"):
+        escape_rate(system, ARCH, ProjPoint.exact([2, 1]), 1e-9)
 
 
 def test_escape_lift_scaling(power_map, half_map):

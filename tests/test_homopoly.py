@@ -149,6 +149,23 @@ def test_numeric_evaluation_accuracy():
     assert val == pytest.approx((1 + 1j) ** 2 - 0.5, abs=1e-14)
 
 
+def test_forms_cache_their_compiled_terms():
+    pm = parse_map(["x0^2 + 1/2*x1^2", "x1^2"])
+    f, g = pm.forms
+    for numeric, point in ((True, ProjPoint.of_numeric([1j, 2.0])),
+                           (False, ProjPoint.exact([1, 2]))):
+        assert f._compiled[numeric] is None
+        first = evaluate(f, point)
+        terms = f._compiled[numeric]
+        assert terms == _compile(f.coeffs, numeric)
+        assert evaluate(f, point) == first and f._compiled[numeric] is terms
+        assert pm._terms(numeric)[0] is terms and pm._terms(numeric)[0] is terms
+    # a derived form has its own coefficients, so it starts uncompiled
+    for derived in (f.scale(3), f + g, -f, f - g, f * g, f**2, f.substitute(pm.forms)):
+        assert derived._compiled == [None, None]
+        assert derived._terms(True) == _compile(derived.coeffs, True)
+
+
 def test_modes_never_mix():
     with pytest.raises(DomainError):
         ProjPoint.exact([1.5, 1])

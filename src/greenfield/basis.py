@@ -12,13 +12,13 @@ where repeatedly splitting off the largest admissible generator degree
 the chain lies between floor(t1) and floor(t2) with
 t1 = log_{(N+1)/N} max(1, n - d(N+1)) and t2 = log_{(2N+2)/(2N+1)} n,
 except for small n, so the enumeration scans that window first and then
-relaxes outside it (recording that it had to) until full rank is
-reached.
+relaxes below it (recording that it had to) until full rank is reached.
 
 A basis is extracted greedily in a fixed deterministic order: an element
 is kept iff it enlarges the exact rank modulo the hypersurface ideal.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -295,19 +295,25 @@ def _elements_for_j(system: DynSystem, n: int, j: int):
                 pick(idx, slots - 1, rest - m, factors + (factor,))
 
     pick(0, j, n, ())
+
+    @functools.cache
+    def power(i, k, jp):
+        return system.iterate(k).forms[i] ** jp
+
     for rest in sorted(by_rest):
         for eta in monomials_of_degree(nvars, rest):
             for factors in sorted(by_rest[rest]):
-                form = HomoForm.monomial(nvars, eta)
-                for i, k, jp in factors:
-                    form = form * (system.iterate(k).forms[i] ** jp)
+                form = math.prod((power(*f) for f in factors), start=HomoForm.monomial(nvars, eta))
                 yield GenElement(eta, factors, form)
 
 
 def spanning_family(system: DynSystem, n: int):
     """Lazily yield (element, in_primary_window) in the deterministic
     enumeration order: the window floor(t1) <= j <= floor(t2) ascending,
-    then j below the window (descending) and beyond it (ascending)."""
+    then j below the window (descending).  None lies beyond it: each chain
+    step at r removes floor_G(r) > r/(2N+2), as consecutive generator
+    degrees differ by a ratio <= 2, and the last starts at r >= d(N+1) >= 4
+    > (2N+2)/(2N+1), so the chain has fewer than t2 steps."""
     d, N = system.degree, system.N
     if n < 1:
         raise DomainError("need n >= 1")
@@ -316,15 +322,10 @@ def spanning_family(system: DynSystem, n: int):
             yield el, True
         return
     jlo, jhi = t1_floor(system, n), t2_floor(system, n)
-    chain, _ = degree_chain(system, n)
-    jmax = max(jhi, len(chain))
     for j in range(jlo, jhi + 1):
         for el in _elements_for_j(system, n, j):
             yield el, True
     for j in range(jlo - 1, -1, -1):
-        for el in _elements_for_j(system, n, j):
-            yield el, False
-    for j in range(jhi + 1, jmax + 1):
         for el in _elements_for_j(system, n, j):
             yield el, False
 

@@ -26,13 +26,9 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
-from sympy import QQ
-from sympy.polys.orderings import lex
-from sympy.polys.rings import ring
-
 from .errors import DimensionMismatch, DomainError, InternalCheckError, NotAMorphism
-from .homopoly import (HomoForm, PolyMap, ProjPoint, _compile, _values, coeff_sup_log,
-                       evaluate, iterate)
+from .homopoly import (HomoForm, PolyMap, ProjPoint, _compile, _form, _poly, _values,
+                       coeff_sup_log, evaluate, iterate)
 from .macaulay import elimination_certificates, macaulay_degree, macaulay_resultant
 from .pffield import LogMag, Place, abs_log, sup_log
 
@@ -84,6 +80,8 @@ class DynSystem:
                 raise DomainError("hypersurface variable count mismatch")
             if hypersurface.is_zero():
                 raise DomainError("zero hypersurface form")
+            if hypersurface.degree < 1:
+                raise DomainError("constant hypersurface form: V(G) is empty")
             inv = check_invariance(pm, hypersurface)
             if not inv.holds:
                 raise DomainError(
@@ -173,16 +171,10 @@ def check_invariance(pm: PolyMap, g: HomoForm) -> InvarianceResult:
         raise DomainError("division by zero form")
     if g.nvars != pm.nvars:
         raise DomainError("variable count mismatch in division")
-    poly_ring = ring([f"x{i}" for i in range(g.nvars)], QQ, lex)[0]
-    q, r = poly_ring(g.substitute(pm.forms).coeffs).div(poly_ring(g.coeffs))
-
-    def form(poly, degree):
-        return HomoForm(g.nvars, degree, {e: Fraction(int(c.numerator), int(c.denominator))
-                                          for e, c in poly.items()})
-
+    q, r = _poly(g.substitute(pm.forms)).div(_poly(g))
     if r:
-        return InvarianceResult(False, None, form(r, g.degree * pm.degree))
-    return InvarianceResult(True, form(q, g.degree * (pm.degree - 1)), None)
+        return InvarianceResult(False, None, _form(g.nvars, g.degree * pm.degree, r))
+    return InvarianceResult(True, _form(g.nvars, g.degree * (pm.degree - 1), q), None)
 
 
 def _reduction_type(system: DynSystem, place: Place) -> ReductionInfo:

@@ -4,6 +4,11 @@ Forms are stored sparsely as {exponent tuple: nonzero Fraction} with a
 canonical descending-lex term order (x0-major), which makes iteration,
 serialization and the greedy basis extraction deterministic.
 
+Products, powers and substitution (so `compose` and `iterate`) run in
+sympy's sparse ring QQ[x0, ..., xN], cached per variable count: `_poly`
+converts a form in, and `_form` converts a result back to Fractions and
+raises ResourceLimit past TERM_CAP terms.  `check_invariance` divides there.
+
 Values of forms at points come from one generic kernel, `_values`, which
 takes forms compiled by `_compile` into term lists (coefficient,
 ((i, a), ...)) with zero exponents dropped, and computes each
@@ -23,16 +28,43 @@ operations in the same order on scalar locals, so its values agree with
 the kernel's bit for bit.
 """
 
+import functools
 import math
 import re
 from fractions import Fraction
+
+from sympy import QQ
+from sympy.polys.orderings import lex
+from sympy.polys.rings import ring
 
 from .errors import (DimensionMismatch, DomainError, InputError, InternalCheckError,
                      ResourceLimit)
 from .pffield import LogMag, Place, parse_rational, sup_log
 
-# Intermediate expansion cap for products/compositions (total stored terms).
+# Cap on the stored terms of a product, power or substitution result.
 TERM_CAP = 10**7
+
+
+@functools.cache
+def _ring(nvars: int):
+    """The sparse ring QQ[x0, ..., x_(nvars-1)], lex order with x0 first,
+    in which forms multiply."""
+    return ring([f"x{i}" for i in range(nvars)], QQ, lex)[0]
+
+
+def _poly(form: "HomoForm"):
+    """The form as an element of `_ring`."""
+    return _ring(form.nvars).dtype({e: QQ(c.numerator, c.denominator)
+                                    for e, c in form.coeffs.items()})
+
+
+def _form(nvars: int, degree: int, poly) -> "HomoForm":
+    """A `_ring` element of known degree as a form with Fraction
+    coefficients; ResourceLimit past TERM_CAP terms."""
+    if len(poly) > TERM_CAP:
+        raise ResourceLimit(f"result exceeds {TERM_CAP} terms")
+    return HomoForm._of(nvars, degree, {e: Fraction(int(c.numerator), int(c.denominator))
+                                        for e, c in poly.items()})
 
 
 def monomials_of_degree(nvars: int, degree: int):
@@ -142,33 +174,14 @@ class HomoForm:
     def __mul__(self, other: "HomoForm") -> "HomoForm":
         if self.nvars != other.nvars:
             raise DimensionMismatch("variable count mismatch in product")
-        coeffs = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = coeffs.get(e, 0) + c1 * c2
-                if s == 0:
-                    coeffs.pop(e, None)
-                else:
-                    coeffs[e] = s
-            if len(coeffs) > TERM_CAP:
-                raise ResourceLimit(f"product exceeds {TERM_CAP} terms")
-        return HomoForm._of(self.nvars, self.degree + other.degree, coeffs)
+        return _form(self.nvars, self.degree + other.degree, _poly(self) * _poly(other))
 
     def __pow__(self, k: int) -> "HomoForm":
         if k < 0:
             raise DomainError("negative power")
         if k == 0:
             return HomoForm.constant(self.nvars, 1)
-        acc = None
-        base = self
-        while k:
-            if k & 1:
-                acc = base if acc is None else acc * base
-            k >>= 1
-            if k:
-                base = base * base
-        return acc
+        return _form(self.nvars, self.degree * k, _poly(self) ** k)
 
     def _terms(self, numeric: bool) -> list:
         """The form compiled for `_values`, once per arithmetic."""
@@ -194,29 +207,19 @@ class HomoForm:
         for g in vec:
             if g.nvars != m or g.degree != e:
                 raise DimensionMismatch("substitution forms must share nvars and degree")
-        pow_cache: dict[tuple[int, int], HomoForm] = {}
-
-        def cached_pow(i, a):
-            key = (i, a)
-            got = pow_cache.get(key)
-            if got is None:
-                got = vec[i] ** a
-                pow_cache[key] = got
-            return got
-
-        acc = HomoForm.zero(m, self.degree * e)
-        for expo, c in self.terms():
-            t = None
+        polys = [_poly(g) for g in vec]
+        powers = {}  # (i, a) -> polys[i] ** a
+        R = _ring(m)
+        acc = R.zero
+        for expo, c in self.coeffs.items():
+            t = R.ground_new(QQ(c.numerator, c.denominator))
             for i, a in enumerate(expo):
                 if a:
-                    f = cached_pow(i, a)
-                    t = f if t is None else t * f
-            if t is None:
-                t = HomoForm.constant(m, 1)
-            acc = acc + t.scale(c)
-            if len(acc.coeffs) > TERM_CAP:
-                raise ResourceLimit(f"composition exceeds {TERM_CAP} terms")
-        return acc
+                    if (i, a) not in powers:
+                        powers[i, a] = polys[i] ** a
+                    t *= powers[i, a]
+            acc += t
+        return _form(m, self.degree * e, acc)
 
     def __repr__(self):
         return f"HomoForm({form_str(self)!r})"

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -64,6 +65,17 @@ def test_degree_sandwich_and_n0_scan():
                 if Fraction(gap) > Fraction((2 * N + 1) * n, 2 * N + 2):
                     violations.append(n)
             assert violations == [], (d, N, violations)
+
+
+def test_degree_chain_never_leaves_the_window():
+    # spanning_family scans no j beyond floor(t2): the chain is never longer.
+    # The chain and t2 read only (d, N) off the system.
+    for N in range(1, 6):
+        for d in range(2, 9):
+            system = SimpleNamespace(degree=d, N=N)
+            for n in range(d * (N + 1), 300):
+                chain, _ = degree_chain(system, n)
+                assert len(chain) <= t2_floor(system, n), (N, d, n)
 
 
 def test_spanning_family_monomials_below_threshold(power_map):

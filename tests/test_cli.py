@@ -277,6 +277,22 @@ def test_values_beyond_binary64_are_domain_errors(capsys, tmp_path):
         assert capsys.readouterr().err == "error: an orbit value lies outside the binary64 range\n"
 
 
+def test_constant_hypersurface_is_a_domain_error(capsys, tmp_path):
+    # V(3) is empty; every command that builds the system refuses it
+    const = tmp_path / "const.json"
+    const.write_text(json.dumps({"N": 1, "d": 2, "forms": ["x0^2", "x1^2"],
+                                 "hypersurface": "3"}))
+    path = str(const)
+    for argv in (["fekete", path, "--n", "4"],
+                 ["adelic-report", path, "--n", "4"],
+                 ["green", path, "--n", "2", "--points", "0,1;1,1;2,1"],
+                 ["resultant", path],
+                 ["height", path, "--point", "1,1"]):
+        capsys.readouterr()
+        assert run(argv) == 1
+        assert capsys.readouterr().err == "error: constant hypersurface form: V(G) is empty\n"
+
+
 def test_local_entries_follow_the_ledger_rule(capsys, half_cfg):
     # every local entry reports value = total(), error = arch_err and
     # exact = is_exact, the Weil block included

@@ -80,6 +80,12 @@ def test_invariant_hypersurface_accepted_and_checked():
         DynSystem(parse_map(["x0^2", "x1^2"]), parse_form("x0 - 2*x1", 2))
 
 
+def test_constant_hypersurface_rejected():
+    # V(3) is empty: no point lies on it, so there is nothing to report on
+    with pytest.raises(DomainError, match="constant hypersurface form"):
+        DynSystem(parse_map(["x0^2", "x1^2"]), HomoForm.constant(2, 3))
+
+
 def test_escape_power_map_closed_form(power_map):
     # ||F^n(x,y)|| = max(|x|,|y|)^(2^n) at every place
     rate = escape_rate(power_map, ARCH, ProjPoint.exact([2, 1]), 1e-10)

@@ -3,10 +3,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from greenfield.errors import DimensionMismatch, DomainError, InputError
+from greenfield import homopoly
+from greenfield.errors import DimensionMismatch, DomainError, InputError, ResourceLimit
 from greenfield.homopoly import (HomoForm, PolyMap, ProjPoint, _compile, _values,
                                  coeff_sup_log, compose, evaluate, form_str, iterate,
                                  monomials_of_degree, parse_form, parse_map)
@@ -283,3 +284,134 @@ def test_canonical_term_order_is_descending_lex():
     f = parse_form("x1^2 + x0*x1 + x0^2", 2)
     assert [e for e, _ in f.terms()] == [(2, 0), (1, 1), (0, 2)]
     assert form_str(f) == "x0^2 + x0*x1 + x1^2"
+
+
+# Reference arithmetic: the Fraction-dict loops that products, powers and
+# substitution ran on before they moved to sympy's sparse ring.
+
+
+def _ref_mul(f: dict, g: dict) -> dict:
+    coeffs = {}
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            s = coeffs.get(e, 0) + c1 * c2
+            if s == 0:
+                coeffs.pop(e, None)
+            else:
+                coeffs[e] = s
+    return coeffs
+
+
+def _ref_pow(f: dict, nvars: int, k: int) -> dict:
+    acc = {(0,) * nvars: Fraction(1)}
+    for _ in range(k):
+        acc = _ref_mul(acc, f)
+    return acc
+
+
+def _ref_substitute(f: dict, vec: list[dict], m: int) -> dict:
+    acc = {}
+    for expo, c in f.items():
+        t = {(0,) * m: c}
+        for g, a in zip(vec, expo):
+            t = _ref_mul(t, _ref_pow(g, m, a))
+        for e, v in t.items():
+            s = acc.get(e, 0) + v
+            if s == 0:
+                acc.pop(e, None)
+            else:
+                acc[e] = s
+    return acc
+
+
+# few small coefficients on few monomials, so that terms often cancel
+_SMALL = st.sampled_from([Fraction(1), Fraction(-1), Fraction(2), Fraction(-1, 2),
+                          Fraction(3, 7)])
+
+
+@st.composite
+def _small_forms(draw, nvars, degree):
+    monos = monomials_of_degree(nvars, degree)
+    return HomoForm(nvars, degree, draw(st.dictionaries(st.sampled_from(monos), _SMALL,
+                                                        max_size=min(len(monos), 4))))
+
+
+@st.composite
+def _arithmetic_cases(draw):
+    """f and g in n variables, a power k, and forms of one degree e in m
+    variables to substitute into f."""
+    n = draw(st.integers(1, 3))
+    f = draw(_small_forms(n, draw(st.integers(0, 3))))
+    g = draw(_small_forms(n, draw(st.integers(0, 3))))
+    k = draw(st.integers(0, 4))
+    m, e = draw(st.integers(1, 3)), draw(st.integers(0, 2))
+    vec = [draw(_small_forms(m, e)) for _ in range(n)]
+    return f, g, k, vec
+
+
+def _assert_fractions(h: HomoForm):
+    # sympy's PythonMPQ compares equal to Fraction but does not mix with it
+    assert all(type(c) is Fraction for c in h.coeffs.values())
+    assert all(type(e) is tuple and all(type(a) is int for a in e) for e in h.coeffs)
+
+
+_X0_MINUS_X1 = HomoForm(2, 1, {(1, 0): 1, (0, 1): -1})
+_X0_PLUS_X1 = HomoForm(2, 1, {(1, 0): 1, (0, 1): 1})
+
+
+@given(_arithmetic_cases())
+@example((_X0_MINUS_X1, _X0_PLUS_X1, 2, [_X0_PLUS_X1, _X0_PLUS_X1]))
+def test_ring_arithmetic_matches_the_dict_loops(case):
+    f, g, k, vec = case
+    n, m = f.nvars, vec[0].nvars
+    got = f * g
+    assert (got.nvars, got.degree) == (n, f.degree + g.degree)
+    assert got.coeffs == _ref_mul(f.coeffs, g.coeffs)
+    got = f**k
+    assert (got.nvars, got.degree) == (n, f.degree * k)
+    assert got.coeffs == _ref_pow(f.coeffs, n, k)
+    got = f.substitute(vec)
+    assert (got.nvars, got.degree) == (m, f.degree * vec[0].degree)
+    assert got.coeffs == _ref_substitute(f.coeffs, [h.coeffs for h in vec], m)
+    for h in (f * g, f**k, f**0, f**1, f.substitute(vec)):
+        _assert_fractions(h)
+    assert (f * f - f**2).is_zero() and (f * g - g * f).is_zero()
+
+
+@given(st.integers(2, 3).flatmap(lambda d: st.tuples(
+    st.lists(_small_forms(2, d), min_size=2, max_size=2),
+    st.lists(_small_forms(2, d), min_size=2, max_size=2))))
+def test_ring_compose_matches_the_dict_loops(case):
+    outer, inner = case
+    want = [_ref_substitute(f.coeffs, [h.coeffs for h in inner], 2) for f in outer]
+    # PolyMap refuses a zero map
+    assume(not all(f.is_zero() for f in outer) and not all(f.is_zero() for f in inner)
+           and any(want))
+    got = compose(PolyMap(outer), PolyMap(inner))
+    assert [h.coeffs for h in got.forms] == want
+    for h in got.forms:
+        _assert_fractions(h)
+
+
+def test_difference_of_squares_cancels_to_zero():
+    prod = _X0_MINUS_X1 * _X0_PLUS_X1
+    assert prod == parse_form("x0^2 - x1^2", 2)
+    assert (prod - parse_form("x0^2 - x1^2", 2)).is_zero()
+    _assert_fractions(prod)
+
+
+def test_term_cap_raises_resource_limit(monkeypatch):
+    f = parse_form("x0 + x1", 2)  # (x0 + x1)^k has k + 1 terms
+    f3 = f**3
+    pm = parse_map(["x0^2 + 2*x0*x1 + x1^2", "x1^2"])
+    monkeypatch.setattr(homopoly, "TERM_CAP", 4)
+    assert len((f**3).coeffs) == 4  # at the cap is allowed
+    with pytest.raises(ResourceLimit, match="exceeds 4 terms"):
+        f3 * f
+    with pytest.raises(ResourceLimit, match="exceeds 4 terms"):
+        f**4
+    with pytest.raises(ResourceLimit, match="exceeds 4 terms"):
+        f.substitute([parse_form("x0^2 + x1^2", 3), parse_form("x2^2 + x0*x1 + x1*x2", 3)])
+    with pytest.raises(ResourceLimit, match="exceeds 4 terms"):
+        iterate(pm, 2)  # (x0 + x1)^4 and friends: 5 terms

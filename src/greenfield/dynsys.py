@@ -15,8 +15,10 @@ At a nonarchimedean place of good reduction the rate is exact:
 H_F(Q) = log||Q||_v - t log(p)/(d-1), where t is the minimal coefficient
 valuation (the scaling that normalizes F to unit resultant and unit
 coefficients).  At bad places the orbit is iterated once in Z/p^W with
-valuation bookkeeping; W is fixed by the lower growth constant, as each
-step loses at most c_lo/log p digits.  At the archimedean place it is
+valuation bookkeeping.  The lower growth constant bounds the digits m a
+step drops by max_m, so W = (K+2)(max_m+1) keeps more than max_m digits
+through all K steps and every m is exact; a step that drops more than
+max_m raises InternalCheckError.  At the archimedean place the orbit is
 iterated in floating point with per-step renormalization.
 """
 
@@ -217,45 +219,41 @@ def _escape_padic_bad(system: DynSystem, place: Place, lift: ProjPoint, tol: flo
     logp = math.log(p)
     c_lo, c_hi = system.growth_constants(place)
     # integral model F' = s F and integral primitive-at-p start vector
-    s = 1
-    for f in system.map.forms:
-        for c in f.coeffs.values():
-            s = math.lcm(s, c.denominator)
+    s = math.lcm(*[c.denominator for f in system.map.forms for c in f.coeffs.values()])
     log_s_v = -place.valuation(s) * logp
     c_lo_s = c_lo - log_s_v
     c_hi_s = c_hi + log_s_v
     int_forms = [_compile({expo: int(c * s) for expo, c in f.coeffs.items()}, False)
                  for f in system.map.forms]
-    den = 1
-    for x in lift.lift:
-        den = math.lcm(den, x.denominator)
+    den = math.lcm(*[x.denominator for x in lift.lift])
     v0 = [int(x * den) for x in lift.lift]
     shift0 = min(place.valuation(x) for x in v0 if x)  # v0 / p^shift0 is primitive at p
-    v0 = [x // p**shift0 for x in v0]
-    # H_F(lift) = H_{F'}(v0) - log|s|_v/(d-1) - log|lam|_v,  lam = den/p^shift0,
+    v = [x // p**shift0 for x in v0]
+    # H_F(lift) = H_{F'}(v) - log|s|_v/(d-1) - log|lam|_v,  lam = den/p^shift0,
     # and log|s|_v = -ord_p(s) log p, log|lam|_v = -lam_ord log p:
     lam_ord = place.valuation(den) - shift0
     base = Fraction(lam_ord) + Fraction(place.valuation(s), d - 1)  # coefficient of log p
     bound = max(abs(c_lo_s), abs(c_hi_s), 1e-9)
     K = _tail_steps(d, bound, tol)
     max_m = max(1, int(c_lo_s / logp) + 1)
-    W = 64 + (K + 2) * (max_m + 1)
     # log||F'(v)||_p >= -c_lo_s for primitive v, so each step drops m <= max_m
-    # digits and more than max_m remain: the residues' least valuation is m.
-    acc = Fraction(0)
-    v = [x % p**W for x in v0]
-    prec = W
-    for k in range(K):
-        w = [x % p**prec for x in _values(int_forms, v)]
-        # entries lie in [0, p^prec), so a nonzero one has valuation < prec
-        m = min((place.valuation(x) for x in w if x), default=None)
-        if m is None:
+    # digits: from W = (K+2)(max_m+1), step k keeps W - k*max_m > max_m of
+    # them, and the least valuation of the residues is the true m
+    mod = p ** ((K + 2) * (max_m + 1))  # p^W, divided by p^m at each step
+    acc = 0  # sum of m_k d^(K-1-k)
+    for _ in range(K):
+        w = [x % mod for x in _values(int_forms, v)]
+        g = math.gcd(*w)  # below mod, so v_p(g) is below the digits held
+        if not g:
             raise InternalCheckError("p-adic escape iteration lost all precision")
-        acc -= Fraction(m, d ** (k + 1))
+        m = place.valuation(g)
+        if m > max_m:
+            raise InternalCheckError(f"p-adic escape step dropped {m} > {max_m} digits")
+        acc = acc * d + m
         q = p**m
         v = [x // q for x in w]
-        prec -= m
-    total = base + acc  # Fraction coefficient of log p
+        mod //= q
+    total = base - Fraction(acc, d**K)  # Fraction coefficient of log p
     val = float(total) * logp
     err = bound / (d**K * (d - 1)) + 4 * math.ulp(abs(val) + 1.0)
     return LogMag.of_float(val, err)

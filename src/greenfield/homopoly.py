@@ -23,9 +23,8 @@ single kernel calls that compile nothing after the first.
 
 The archimedean escape loop runs its later steps outside `_values`:
 `PolyMap._orbit` generates, once per map, a straight-line orbit function
-from the complex term lists (`_orbit_kernel`) that does the same float
-operations in the same order on scalar locals, so its values agree with
-the kernel's bit for bit.
+from the complex term lists (`_orbit_kernel`) on scalar locals, whose
+values agree with the kernel's bit for bit.
 """
 
 import functools
@@ -202,24 +201,9 @@ class HomoForm:
             raise DimensionMismatch("substitution vector length mismatch")
         if not vec:
             raise DomainError("empty substitution")
-        m = vec[0].nvars
-        e = vec[0].degree
-        for g in vec:
-            if g.nvars != m or g.degree != e:
-                raise DimensionMismatch("substitution forms must share nvars and degree")
-        polys = [_poly(g) for g in vec]
-        powers = {}  # (i, a) -> polys[i] ** a
-        R = _ring(m)
-        acc = R.zero
-        for expo, c in self.coeffs.items():
-            t = R.ground_new(QQ(c.numerator, c.denominator))
-            for i, a in enumerate(expo):
-                if a:
-                    if (i, a) not in powers:
-                        powers[i, a] = polys[i] ** a
-                    t *= powers[i, a]
-            acc += t
-        return _form(m, self.degree * e, acc)
+        if any((g.nvars, g.degree) != (vec[0].nvars, vec[0].degree) for g in vec):
+            raise DimensionMismatch("substitution forms must share nvars and degree")
+        return _substituted([self], vec)[0]
 
     def __repr__(self):
         return f"HomoForm({form_str(self)!r})"
@@ -316,16 +300,20 @@ def _orbit_kernel(forms: list, degree: int):
     """The renormalized archimedean orbit loop of complex-compiled forms,
     generated as one function orbit(w0, ..., wN, steps, parts).  Given
     the first image w of a point, each of the `steps` passes takes
-    m = max|w_i| (in coordinate order), appends d^-k log(m) to parts and,
-    unless it is the last, replaces w by the image of w / m.  Each term
-    is straight-line ((c * x_i ** a) * x_j ** b) in coordinate order,
-    every power x_i ** a computed once per step, and each value is
-    complex(fsum(real parts), fsum(imaginary parts)): the arithmetic of
-    `_values`, bit for bit.  The source holds only indices, exponents and
-    generated names; the coefficients are bound by name in the
-    function's globals."""
+    m = max|w_i| (compared in coordinate order, as `max` does), appends
+    d^-k log(m) to parts and, unless it is the last, replaces w by the
+    image of w / m.  Each term is straight-line ((c * x_i ** a) * x_j ** b)
+    in coordinate order, every power x_i ** a computed once per step.  A
+    form of three or more terms is complex(fsum(real parts), fsum(imaginary
+    parts)) as in `_values`; one of one or two terms is t0 or t0 + t1, as
+    fsum of one or two finite floats is their correctly rounded sum.  Only
+    the sign of a zero part differs, which abs, / m and log never expose,
+    so the values are `_values`' bit for bit; a sum that fsum refused as an
+    overflow is inf here, and a norm that is not finite raises
+    OverflowError.  The source holds only indices, exponents and generated
+    names; the coefficients are bound by name in the function's globals."""
     n = len(forms)
-    ns = {"fsum": math.fsum, "log": math.log, "d": degree,
+    ns = {"fsum": math.fsum, "log": math.log, "inf": math.inf, "d": degree,
           "InternalCheckError": InternalCheckError,
           "UNDERFLOW": "orbit underflowed to zero at the archimedean place"}
     body = [f"x{i} = w{i} / m" for i in range(n)]
@@ -340,17 +328,20 @@ def _orbit_kernel(forms: list, degree: int):
                 expr = f"({expr} * p{i}_{a})"
             body.append(f"t{k}_{j} = {expr}")
             names.append(f"t{k}_{j}")
-        body.append(f"w{k} = complex(fsum([{', '.join(t + '.real' for t in names)}]), "
+        body.append(f"w{k} = {' + '.join(names) or '0j'}" if len(names) < 3 else
+                    f"w{k} = complex(fsum([{', '.join(t + '.real' for t in names)}]), "
                     f"fsum([{', '.join(t + '.imag' for t in names)}]))")
     ws = [f"w{i}" for i in range(n)]
-    norm = f"max({', '.join(f'abs({w})' for w in ws)})" if n > 1 else "abs(w0)"
+    norm = [line for i in range(1, n)
+            for line in (f"a{i} = abs(w{i})", f"if a{i} > m:", f"    m = a{i}")]
     src = "\n".join([f"def orbit({', '.join(ws)}, steps, parts):",
                      "    append = parts.append",
                      "    scale = 1.0",
                      "    while True:",
-                     f"        m = {norm}",
-                     "        if m == 0.0:",
-                     "            raise InternalCheckError(UNDERFLOW)",
+                     "        m = abs(w0)",
+                     *("        " + line for line in norm),
+                     "        if not 0.0 < m < inf:",
+                     "            raise OverflowError if m else InternalCheckError(UNDERFLOW)",
                      "        scale /= d",
                      "        append(scale * log(m))",
                      "        steps -= 1",
@@ -432,11 +423,31 @@ class PolyMap:
         return "PolyMap([" + ", ".join(form_str(f) for f in self.forms) + "])"
 
 
+def _substituted(outer: list, vec: list) -> list:
+    """Each outer form at the vector vec of forms of one degree (checked by
+    the caller), converting vec to the ring once and taking each power once."""
+    polys = [_poly(g) for g in vec]
+    power = functools.cache(lambda i, a: polys[i] ** a)
+    m, e = vec[0].nvars, vec[0].degree
+    R = _ring(m)
+    out = []
+    for f in outer:
+        acc = R.zero
+        for expo, c in f.coeffs.items():
+            t = R.ground_new(QQ(c.numerator, c.denominator))
+            for i, a in enumerate(expo):
+                if a:
+                    t *= power(i, a)
+            acc += t
+        out.append(_form(m, f.degree * e, acc))
+    return out
+
+
 def compose(outer: PolyMap, inner: PolyMap) -> PolyMap:
     """outer ∘ inner, coordinatewise symbolic substitution."""
     if outer.nvars != inner.nvars:
         raise DimensionMismatch("composition dimension mismatch")
-    return PolyMap([f.substitute(inner.forms) for f in outer.forms])
+    return PolyMap(_substituted(outer.forms, inner.forms))
 
 
 def iterate(pm: PolyMap, k: int, _cache: dict | None = None) -> PolyMap:

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from greenfield.dynsys import (DynSystem, Membership, _arch_tail, _escape_arch, check_invariance,
@@ -177,10 +177,25 @@ def _sparse_systems_with_starts(draw):
     return system, lift, draw(st.sampled_from([1e-3, 1e-9, 1e-12, 10.0]))
 
 
+# forms of one term (x1^2) and two terms, then three; starts with -0.0 parts
+_TWO_TERMS = DynSystem(parse_map(["x0^2 - 7/6*x1^2", "x1^2"]))
+_THREE_TERMS = DynSystem(parse_map(["x0^2 + 2*x0*x1 - 3*x1^2", "x0*x1 + x1^2"]))
+_P2_FEW_TERMS = DynSystem(parse_map(["x0^2 - 2*x2^2", "3*x1^2 + x0*x1", "x2^2"]))
+
+
 @settings(max_examples=80)
 @given(_sparse_systems_with_starts())
+@example((_TWO_TERMS, ProjPoint.of_numeric([complex(-0.0, 0.5), complex(1.0, -0.0)]), 1e-12))
+@example((_TWO_TERMS, ProjPoint.of_numeric([complex(-0.0, -0.0), complex(-2.0, -0.0)]), 1e-9))
+@example((_TWO_TERMS, ProjPoint.exact([Fraction(3, 2), 1]), 1e-12))
+@example((_THREE_TERMS, ProjPoint.of_numeric([complex(0.25, -0.0), complex(-0.0, 1.5)]), 1e-12))
+@example((_P2_FEW_TERMS, ProjPoint.of_numeric([complex(-0.0, 0.0), -1.0, complex(0.5, -0.0)]),
+          1e-9))
 def test_orbit_kernel_matches_the_term_loop_bit_for_bit(case):
     system, lift, tol = case
+    # a form of one or two terms sums without fsum, one of three or more with it
+    assert ("fsum" in system.map._orbit().__code__.co_names) == \
+        any(len(terms) > 2 for terms in system.map._terms(True))
     got = _escape_arch(system, lift, tol)
     val, err, parts = _reference_escape_arch(system, lift, tol)
     assert (got.arch.hex(), got.arch_err.hex()) == (val.hex(), err.hex())

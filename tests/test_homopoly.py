@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from greenfield import homopoly
 from greenfield.errors import DimensionMismatch, DomainError, InputError, ResourceLimit
+from greenfield.experiments import duplication_map
 from greenfield.homopoly import (HomoForm, PolyMap, ProjPoint, _compile, _values,
                                  coeff_sup_log, compose, evaluate, form_str, iterate,
                                  monomials_of_degree, parse_form, parse_map)
@@ -107,6 +108,26 @@ def test_compose_associative_via_evaluation():
             pt = rand_point(rng, 2)
             assert [evaluate(f, pt) for f in left.forms] == \
                    [evaluate(f, pt) for f in right.forms]
+
+
+def test_compose_takes_each_power_of_the_inner_forms_once(monkeypatch):
+    # the duplication map of y^2 = x^3 - 2x + 945/8: both outer forms share
+    # powers x_i^a, which one composition takes once, not once per form
+    pm = duplication_map(-2, Fraction(945, 8))
+    taken = []
+    element = type(homopoly._ring(2).one)
+    ring_pow = element.__pow__
+
+    def counting_pow(self, k):
+        taken.append((tuple(sorted(self.items())), k))
+        return ring_pow(self, k)
+
+    monkeypatch.setattr(element, "__pow__", counting_pow)
+    got = iterate(pm, 2)
+    monkeypatch.undo()
+    keys = {(i, a) for f in pm.forms for expo in f.coeffs for i, a in enumerate(expo) if a}
+    assert len(taken) == len(set(taken)) == len(keys)
+    assert got == PolyMap([f.substitute(pm.forms) for f in pm.forms])
 
 
 def test_iterate_examples():

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 from greenfield.basis import monomial_basis
 from greenfield.dynsys import DynSystem, escape_rate
-from greenfield.experiments import EllipticCurve, LattesSystem
+from greenfield.errors import InternalCheckError
+from greenfield.experiments import EllipticCurve, LattesSystem, report_places
 from greenfield.green import green_value
 from greenfield.heights import canonical_height
 from greenfield.homopoly import (HomoForm, PolyMap, ProjPoint, monomials_of_degree,
@@ -117,6 +118,69 @@ def test_bad_prime_escape_vs_exact_orbit(p, d, sign, u, k, a, b, i, j):
     tail = max(abs(c_lo), abs(c_hi)) / (d**K * (d - 1))
     rate = escape_rate(system, place, pt, 1e-10)
     assert abs(rate.total() - float(coeff) * logp) <= tail + rate.arch_err + 1e-12
+
+
+@pytest.mark.parametrize("a, b, x0, y0", [
+    (0, Fraction(3581, 2000), Fraction(-6, 5), Fraction(1, 4)),  # bad at 2, 3, 5, 3581
+    (3, Fraction(1357, 125), Fraction(-8, 5), Fraction(7, 5)),  # 2, 3, 5, 17, 111997
+    (1, Fraction(1212, 125), Fraction(-8, 5), 2),  # 2, 5, 9930997
+    (Fraction(1, 5), Fraction(503, 320), Fraction(-3, 4), 1),  # 2, 5, 647, 52817
+])
+def test_lattes_bad_prime_escape_vs_exact_orbit(a, b, x0, y0):
+    # Lattes maps at each bad prime, up to p ~ 10^7, where the p-adic
+    # precision is largest: the exact orbit of primitive integer vectors
+    # under F' = s F gives each step's drop m, which must stay within the
+    # max_m = max(1, floor(c_lo_s / log p) + 1) that fixes the precision
+    lattes = LattesSystem(EllipticCurve(a, b), (x0, y0))
+    system = lattes.system
+    d = system.degree
+    s = math.lcm(*(c.denominator for f in system.map.forms for c in f.coeffs.values()))
+    int_forms = [{e: int(c * s) for e, c in f.coeffs.items()} for f in system.map.forms]
+    bad = [place for place in report_places(system)
+           if not place.is_archimedean and not system.reduction(place).good]
+    assert max(place.p for place in bad) > 10**3
+    K = 6
+    for place in bad:
+        p = place.p
+        logp = math.log(p)
+        c_lo, c_hi = system.growth_constants(place)
+        ord_s = _oracle_valuation(Fraction(s), p)
+        c_lo_s = c_lo + ord_s * logp
+        max_m = max(1, int(c_lo_s / logp) + 1)
+        tail = max(abs(c_lo_s), abs(c_hi - ord_s * logp)) / (d**K * (d - 1))
+        pts = [lattes.x_of_multiple(k) for k in (1, 2, 3)]
+        pts += [ProjPoint.exact(xy) for xy in ([p, 1], [1, p], [Fraction(1, p), 3])]
+        for pt in pts:
+            coeff = Fraction(-min(_oracle_valuation(x, p) for x in pt.lift if x))
+            den = math.lcm(*(x.denominator for x in pt.lift))
+            v = [int(x * den) for x in pt.lift]
+            v = [x // math.gcd(*v) for x in v]
+            for step in range(K):
+                v = [sum(c * v[0] ** e[0] * v[1] ** e[1] for e, c in f.items())
+                     for f in int_forms]
+                g = math.gcd(*v)
+                m = _oracle_valuation(Fraction(g), p)
+                assert m <= max_m and m * logp <= c_lo_s + 1e-9, (p, step, m, c_lo_s)
+                coeff += Fraction(ord_s - m, d ** (step + 1))
+                v = [x // g for x in v]
+            rate = escape_rate(system, place, pt, 1e-10)
+            assert abs(rate.total() - float(coeff) * logp) <= tail + rate.arch_err + 1e-12
+
+
+def test_bad_prime_step_beyond_the_growth_constant_is_an_internal_error(monkeypatch):
+    # F' = (8 x0^2 + x1^2, 8 x1^2) at p = 2 drops m = 3 digits at (1, 0);
+    # growth constants that allow only m <= 1 must fail loudly, not return
+    system = DynSystem(parse_map(["x0^2 + 1/8*x1^2", "x1^2"]))
+    place = Place.prime(2)
+    assert not system.reduction(place).good
+    # (1 : 0) is fixed over Q, so its escape rate is 0
+    rate = escape_rate(system, place, ProjPoint.exact([1, 0]), 1e-9)
+    assert abs(rate.total()) <= rate.arch_err
+    c_hi = system.growth_constants(place)[1]
+    # c_lo_s = c_lo + ord_2(8) log 2 = 0, so max_m = 1
+    monkeypatch.setattr(system, "growth_constants", lambda place: (-3 * math.log(2), c_hi))
+    with pytest.raises(InternalCheckError, match="dropped 3 > 1 digits"):
+        escape_rate(system, place, ProjPoint.exact([1, 0]), 1e-9)
 
 
 def test_resultant_composition_formula():

@@ -22,11 +22,10 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from .errors import DimensionMismatch, DomainError, InternalCheckError, ResourceLimit
 from .dynsys import DynSystem
-from .homopoly import HomoForm, ProjPoint, _compile, _values, form_str, monomials_of_degree
+from .homopoly import HomoForm, ProjPoint, form_str, monomials_of_degree
 from .linalg import IncrementalRank, det_fraction
 from .pffield import LogMag, MINUS_INFINITY, Place, abs_log
 
@@ -132,7 +131,7 @@ class GenElement:
         evaluating several elements (as `BasisFamily.row` does)."""
         if orbit is None:
             orbit = {}
-        val = _values([_compile({self.eta: 1}, False)], point.lift)[0]
+        val = math.prod(x ** a for x, a in zip(point.lift, self.eta) if a)
         for i, k, j in self.factors:
             while len(orbit) < k:
                 orbit[len(orbit) + 1] = system.map.image(orbit.get(len(orbit), point.lift))
@@ -155,6 +154,7 @@ class BasisFamily:
     elements: list[GenElement]
     cn: int
     relaxed_j: bool = False
+    coeff_det: Fraction | None = None  # on P^1: det(C), C as in `det`
 
     def __len__(self):
         return len(self.elements)
@@ -185,7 +185,7 @@ class BasisFamily:
             scale *= l
         wedges = math.prod(a - b for a, b in _wedge_terms(ints))
         # every point lies in n of the pairs
-        return self._coeff_det * Fraction(wedges, scale**self.n)
+        return self.coeff_det * Fraction(wedges, scale**self.n)
 
     def det_log(self, system: DynSystem, lifts):
         """log|det| for numeric lifts on X = P^1 as a LogMag: log|det C| plus
@@ -207,7 +207,7 @@ class BasisFamily:
             logs.append(math.log(w))
             errs.append(math.ulp(logs[-1]) - math.log1p(-bound / w))
         total = math.fsum(logs)
-        return abs_log(Place.archimedean(), self._coeff_det) + LogMag.of_float(
+        return abs_log(Place.archimedean(), self.coeff_det) + LogMag.of_float(
             total, math.fsum(errs) + math.ulp(total))
 
     def spanning_prefix(self, system: DynSystem, lifts):
@@ -236,13 +236,6 @@ class BasisFamily:
             kept += 1
             if kept == self.cn:
                 return
-
-    @cached_property
-    def _coeff_det(self) -> Fraction:
-        """det(C) on P^1, C[a][j] the coefficient of x0^a x1^(n-a) in eta_j."""
-        n = self.n
-        return det_fraction([[el.expanded.coeffs.get((a, n - a), 0) for el in self.elements]
-                             for a in range(n + 1)])
 
 
 def section_dim(system: DynSystem | None, n: int, N: int | None = None) -> int:
@@ -375,8 +368,9 @@ def special_basis(system: DynSystem, n: int) -> BasisFamily:
         kept.append(el)
         if not primary:
             relaxed = True
-        if len(kept) == target:
-            return BasisFamily(n, kept, target, relaxed)
+        if len(kept) == target:  # on P^1, C is the kept vectors as columns, `monos` reversed
+            coeff_det = (-1) ** (n * (n + 1) // 2) * tracker.det() if system.is_p1 else None
+            return BasisFamily(n, kept, target, relaxed, coeff_det)
     if system.hypersurface is None:
         raise InternalCheckError(
             f"spanning family exhausted at rank {len(kept)} of {target} for X = P^N"
@@ -391,5 +385,7 @@ def monomial_basis(N: int, n: int) -> BasisFamily:
     if n < 1:
         raise DomainError("need n >= 1")
     els = _monomial_elements(N + 1, n)
-    return BasisFamily(n, els, len(els))
+    # on P^1 C is the anti-diagonal: (n + 1) // 2 row swaps make it the identity
+    return BasisFamily(n, els, len(els),
+                       coeff_det=Fraction((-1) ** ((n + 1) // 2)) if N == 1 else None)
 

@@ -288,8 +288,11 @@ def _select_basis(system, n, kind):
 def _cmd_green(args):
     system, tol = args.system, args.tol
     place = Place.parse(args.place)
-    basis = _select_basis(system, args.n, args.basis)
     points = [_parse_point(t) for t in args.points.split(";") if t.strip()]
+    c = section_dim(system, args.n)  # before a basis, which can take minutes to build
+    if len(points) != c or any(len(pt) != system.N + 1 for pt in points):
+        raise errors.DimensionMismatch(f"need {c} lifts with {system.N + 1} coordinates")
+    basis = _select_basis(system, args.n, args.basis)
     val = green_value(system, basis, points, place, args.convention, tol)
     wit = dbn_witness(system, basis, points, place, tol) if args.witness else None
     for mag in (val, wit):

@@ -154,7 +154,7 @@ def fekete_search(system: DynSystem, basis: BasisFamily, budget: int,
         raise DomainError(f"budget {budget} is below c(n) = {c}")
     rng = random.Random(seed)
     arch = Place.archimedean()
-    log_det_c = abs_log(arch, basis._coeff_det).total()
+    log_det_c = abs_log(arch, basis.coeff_det).total()
     evals = 0
     esc_tol = 1e-12
     cache: dict[float, ProjPoint] = {}  # theta -> lift scaled to escape rate 0

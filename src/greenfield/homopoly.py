@@ -303,7 +303,7 @@ def _orbit_kernel(forms: list, degree: int):
     m = max|w_i| (compared in coordinate order, as `max` does), appends
     d^-k log(m) to parts and, unless it is the last, replaces w by the
     image of w / m.  Each term is straight-line ((c * x_i ** a) * x_j ** b)
-    in coordinate order, every power x_i ** a computed once per step.  A
+    in coordinate order, every power x_i ** a (a > 1) computed once per step.  A
     form of three or more terms is complex(fsum(real parts), fsum(imaginary
     parts)) as in `_values`; one of one or two terms is t0 or t0 + t1, as
     fsum of one or two finite floats is their correctly rounded sum.  Only
@@ -318,14 +318,15 @@ def _orbit_kernel(forms: list, degree: int):
           "UNDERFLOW": "orbit underflowed to zero at the archimedean place"}
     body = [f"x{i} = w{i} / m" for i in range(n)]
     body += [f"p{i}_{a} = x{i} ** {a}"
-             for i, a in sorted({p for terms in forms for _, powers in terms for p in powers})]
+             for i, a in sorted({p for terms in forms for _, powers in terms for p in powers})
+             if a > 1]
     for k, terms in enumerate(forms):
         names = []
         for j, (c, powers) in enumerate(terms):
             ns[f"c{k}_{j}"] = c
             expr = f"c{k}_{j}"
             for i, a in powers:
-                expr = f"({expr} * p{i}_{a})"
+                expr = f"({expr} * {f'p{i}_{a}' if a > 1 else f'x{i}'})"
             body.append(f"t{k}_{j} = {expr}")
             names.append(f"t{k}_{j}")
         body.append(f"w{k} = {' + '.join(names) or '0j'}" if len(names) < 3 else

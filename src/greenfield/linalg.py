@@ -156,6 +156,7 @@ class IncrementalRank:
     def __init__(self, dim: int):
         self.dim = dim
         self.rows = {}
+        self.pivots = []  # each accepted pivot's value before normalization
 
     @property
     def rank(self) -> int:
@@ -176,6 +177,7 @@ class IncrementalRank:
         piv = next((j for j, x in enumerate(v) if x), None)
         if piv is None:
             return False
+        self.pivots.append(v[piv])
         inv = 1 / v[piv]
         v = [x * inv for x in v]
         for row in self.rows.values():
@@ -188,3 +190,10 @@ class IncrementalRank:
             raise InternalCheckError("duplicate pivot")
         self.rows[piv] = v
         return True
+
+    def det(self) -> Fraction:
+        """det of dim accepted vectors as rows, in acceptance order: `add` divides it only
+        by the pivots, and ends at the identity's rows in the pivot columns' order."""
+        order = list(self.rows)
+        inversions = sum(a > b for i, a in enumerate(order) for b in order[i + 1:])
+        return (-1) ** inversions * math.prod(self.pivots)

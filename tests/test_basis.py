@@ -229,6 +229,26 @@ def test_p1_evaluation_det_matches_bareiss(case):
     assert fam.det(system, lifts) == det_fraction([fam.row(system, pt) for pt in lifts])
 
 
+def _coeff_matrix(fam):
+    """C[a][j], the coefficient of x0^a x1^(n-a) in eta_j."""
+    n = fam.n
+    return [[el.expanded.coeffs.get((a, n - a), 0) for el in fam.elements] for a in range(n + 1)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(_system(2, (2, 3, 4)), st.sampled_from(range(1, 41)), st.booleans())
+def test_coeff_det_is_the_determinant_of_c(system, n, special):
+    # read off the elimination that chose the basis, or, for monomials,
+    # the sign of the anti-diagonal; checked against Bareiss on C itself
+    fam = special_basis(system, n) if special else monomial_basis(1, n)
+    assert fam.coeff_det == det_fraction(_coeff_matrix(fam))
+
+
+def test_coeff_det_is_only_set_on_p1(power_map_p2):
+    assert special_basis(power_map_p2, 2).coeff_det is None
+    assert monomial_basis(2, 2).coeff_det is None
+
+
 @st.composite
 def _fallback_cases(draw):
     if draw(st.booleans()):

@@ -373,6 +373,17 @@ def test_fekete_rejects_small_n_before_searching(capsys, monkeypatch, half_cfg):
     assert capsys.readouterr().err == "error: envelope needs n >= 2\n"
 
 
+def test_green_counts_points_before_building_a_basis(capsys, monkeypatch, half_cfg):
+    # building the basis at n = 200 takes tens of seconds
+    def no_basis(*args, **kwargs):
+        raise AssertionError("special_basis ran before the points were counted")
+    monkeypatch.setattr(cli, "special_basis", no_basis)
+    for n, points, message in (("200", "1,1", "need 201 lifts with 2 coordinates"),
+                               ("1", "1,1,1;1,2,3", "need 2 lifts with 2 coordinates")):
+        assert run(["green", half_cfg, "--n", n, "--points", points]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_negative_degree_is_a_domain_error(capsys, half_cfg):
     # section_dim rejects n < 1 for every caller, before math.comb sees
     # a negative argument

@@ -133,7 +133,7 @@ def test_roots_of_unity_witness_is_det_c_times_c_to_the_c_half(forms, n):
     c = basis.cn
     got = eval_det_log(system, basis, roots_of_unity_tuple(c), ARCH)
     assert got is not MINUS_INFINITY and got.arch_err <= 1e-9
-    coeff_det = abs(basis._coeff_det)
+    coeff_det = abs(basis.coeff_det)
     with mpmath.workdps(40):
         want = (mpmath.log(coeff_det.numerator) - mpmath.log(coeff_det.denominator)
                 + mpmath.mpf(c) / 2 * mpmath.log(c))
@@ -371,7 +371,7 @@ def _full_objective(basis, lifts):
     wedges = [abs(a - b) for a, b in _wedge_terms([pt.lift for pt in lifts])]
     if not all(wedges):
         return -math.inf
-    return abs_log(ARCH, basis._coeff_det).total() + math.fsum(map(math.log, wedges))
+    return abs_log(ARCH, basis.coeff_det).total() + math.fsum(map(math.log, wedges))
 
 
 FEKETE_MAPS = {

@@ -235,3 +235,33 @@ def test_incremental_rank_matches_sympy_on_prefixes(case):
     for i, piv in enumerate(pivots):
         assert [sympy.Rational(x.numerator, x.denominator) for x in tr.rows[piv]] == \
             list(rref.row(i))
+
+
+@st.composite
+def pivot_order_matrices(draw):
+    """A full-rank square matrix whose rows, fed in order, take their
+    pivots in a drawn column order: row k of S is zero left of order[k] and
+    nonzero there, and each row adds rational multiples of the rows of S
+    before it to a nonzero multiple of its own."""
+    dim = draw(st.integers(1, 6))
+    order = draw(st.permutations(range(dim)))
+    entry = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
+    lead = st.builds(Fraction, st.sampled_from([-3, -2, -1, 1, 2, 3]), st.integers(1, 4))
+    s = [[Fraction(0)] * p + [draw(lead)] + [draw(entry) for _ in range(dim - p - 1)]
+         for p in order]
+    rows = []
+    for k in range(dim):
+        coeffs = [draw(entry) for _ in range(k)] + [draw(lead)]
+        rows.append([sum((c * r[j] for c, r in zip(coeffs, s)), Fraction(0))
+                     for j in range(dim)])
+    return order, rows
+
+
+@settings(max_examples=100)
+@given(pivot_order_matrices())
+def test_signed_pivot_product_is_the_determinant(case):
+    order, rows = case
+    tr = IncrementalRank(len(rows))
+    assert all(tr.add(r) for r in rows)
+    assert list(tr.rows) == order
+    assert tr.det() == det_fraction(rows)

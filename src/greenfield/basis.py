@@ -16,6 +16,9 @@ relaxes below it (recording that it had to) until full rank is reached.
 
 A basis is extracted greedily in a fixed deterministic order: an element
 is kept iff it enlarges the exact rank modulo the hypersurface ideal.
+Candidates are multiplied as contents times primitive integer polynomials,
+whose products stay primitive (Gauss's lemma), and ranked on those integer
+vectors; on P^1, det(C) is the rank tracker's determinant times the contents.
 """
 
 import functools
@@ -23,9 +26,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from sympy import ZZ
+
 from .errors import DimensionMismatch, DomainError, InternalCheckError, ResourceLimit
 from .dynsys import DynSystem
-from .homopoly import HomoForm, ProjPoint, form_str, monomials_of_degree
+from .homopoly import (HomoForm, ProjPoint, _capped, _form, _poly, _ring, form_str,
+                       monomials_of_degree)
 from .linalg import IncrementalRank, det_fraction
 from .pffield import LogMag, MINUS_INFINITY, Place, abs_log
 
@@ -108,12 +114,18 @@ class GenElement:
 
     Monomial elements have factors = () and the exponent vector in
     `eta`.  Product elements are eta_monomial * prod (F_i^(k))^j with
-    factors a tuple of (i, k, j) triples.
+    factors a tuple of (i, k, j) triples.  The element is content * poly,
+    poly primitive over ZZ; `expanded`, the form, is built on first read.
     """
 
     eta: tuple
     factors: tuple  # of (i, k, j)
-    expanded: HomoForm
+    content: Fraction
+    poly: object
+
+    @functools.cached_property
+    def expanded(self) -> HomoForm:
+        return _form(len(self.eta), sum(self.poly.LM), self.poly).scale(self.content)
 
     def describe(self) -> str:
         eta_str = form_str(HomoForm.monomial(len(self.eta), self.eta))
@@ -254,10 +266,8 @@ def section_dim(system: DynSystem | None, n: int, N: int | None = None) -> int:
 
 
 def _monomial_elements(nvars: int, n: int) -> list[GenElement]:
-    return [
-        GenElement(expo, (), HomoForm.monomial(nvars, expo))
-        for expo in monomials_of_degree(nvars, n)
-    ]
+    return [GenElement(expo, (), Fraction(1), _ring(nvars, ZZ)({expo: 1}))
+            for expo in monomials_of_degree(nvars, n)]
 
 
 def _elements_for_j(system: DynSystem, n: int, j: int):
@@ -267,7 +277,8 @@ def _elements_for_j(system: DynSystem, n: int, j: int):
 
     One recursion picks the factors (i, k, j') with repetition from the
     generators sorted by degree descending, then i, and stops once the
-    remaining slots cannot bring the cofactor degree below d(N+1)."""
+    remaining slots cannot bring the cofactor degree below d(N+1).  Each
+    factor-tuple prefix product is cached as (content, primitive ZZ part)."""
     d, N = system.degree, system.N
     nvars = system.map.nvars
     top = d * (N + 1)
@@ -290,14 +301,22 @@ def _elements_for_j(system: DynSystem, n: int, j: int):
     pick(0, j, n, ())
 
     @functools.cache
-    def power(i, k, jp):
-        return system.iterate(k).forms[i] ** jp
+    def product(factors):
+        if not factors:
+            return Fraction(1), _ring(nvars, ZZ).one
+        if len(factors) > 1:
+            (c, part), (cf, pf) = product(factors[:-1]), product(factors[-1:])
+            return c * cf, _capped(part * pf)
+        (i, k, jp), = factors
+        den, part = _poly(system.iterate(k).forms[i]).clear_denoms()
+        c, part = part.set_ring(_ring(nvars, ZZ)).primitive()
+        return Fraction(int(c), int(den)) ** jp, _capped(part**jp)
 
     for rest in sorted(by_rest):
         for eta in monomials_of_degree(nvars, rest):
             for factors in sorted(by_rest[rest]):
-                form = math.prod((power(*f) for f in factors), start=HomoForm.monomial(nvars, eta))
-                yield GenElement(eta, factors, form)
+                c, part = product(factors)
+                yield GenElement(eta, factors, c, part.mul_monom(eta))
 
 
 def spanning_family(system: DynSystem, n: int):
@@ -334,9 +353,9 @@ def _ideal_rows(system: DynSystem, n: int):
     return rows
 
 
-def _coeff_vector(form: HomoForm, index: dict):
-    vec = [Fraction(0)] * len(index)
-    for expo, c in form.coeffs.items():
+def _coeff_vector(coeffs: dict, index: dict):
+    vec = [0] * len(index)
+    for expo, c in coeffs.items():
         vec[index[expo]] = c
     return vec
 
@@ -350,26 +369,22 @@ def special_basis(system: DynSystem, n: int) -> BasisFamily:
     target = section_dim(system, n)
     tracker = IncrementalRank(len(monos))
     for row in _ideal_rows(system, n):
-        tracker.add(_coeff_vector(row, index))
+        tracker.add(_coeff_vector(row.coeffs, index))
     if tracker.rank != len(monos) - target:
         raise InternalCheckError("hypersurface ideal rank mismatch")
     cap = CANDIDATE_CAP_FACTOR * math.comb(n + system.N, system.N)
     kept: list[GenElement] = []
     relaxed = False
-    seen = 0
-    for el, primary in spanning_family(system, n):
+    for seen, (el, primary) in enumerate(spanning_family(system, n)):
         if seen >= cap:
-            raise ResourceLimit(
-                f"basis enumeration cap {cap} hit at rank {len(kept)} of {target}"
-            )
-        seen += 1
-        if not tracker.add(_coeff_vector(el.expanded, index)):
+            raise ResourceLimit(f"basis enumeration cap {cap} hit at rank {len(kept)} of {target}")
+        if not tracker.add(_coeff_vector(el.poly, index)):
             continue
         kept.append(el)
-        if not primary:
-            relaxed = True
-        if len(kept) == target:  # on P^1, C is the kept vectors as columns, `monos` reversed
-            coeff_det = (-1) ** (n * (n + 1) // 2) * tracker.det() if system.is_p1 else None
+        relaxed = relaxed or not primary
+        if len(kept) == target:  # on P^1, C is contents * kept vectors, `monos` reversed
+            coeff_det = ((-1) ** (n * (n + 1) // 2) * math.prod(el.content for el in kept)
+                         * tracker.det() if system.is_p1 else None)
             return BasisFamily(n, kept, target, relaxed, coeff_det)
     if system.hypersurface is None:
         raise InternalCheckError(

@@ -214,8 +214,18 @@ def _resolve_system(args):
             setattr(args, name, value)
 
 
+def _str_unlimited(x) -> str:
+    """str(x), also past the interpreter's int-to-str digit limit."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(x)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _cmd_resultant(args):
-    sys.stdout.write(str(args.system.resultant) + "\n")
+    sys.stdout.write(_str_unlimited(args.system.resultant) + "\n")
     return 0
 
 
@@ -369,13 +379,6 @@ def _cmd_multiples(args):
     bound = 2 * n**g + cn
     orbit = lattes.orbit(bound)
     res = multiples_search(lattes.system, orbit, n)
-    # the determinant may exceed the interpreter's int-to-str digit limit
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        det = str(res.determinant)
-    finally:
-        sys.set_int_max_str_digits(limit)
     _emit(
         {
             "schema": "greenfield-report/1",
@@ -386,7 +389,7 @@ def _cmd_multiples(args):
             "c": cn,
             "bound": bound,
             "indices": res.indices,
-            "determinant": det,
+            "determinant": _str_unlimited(res.determinant),
         },
         args.out,
     )

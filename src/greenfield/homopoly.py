@@ -5,9 +5,11 @@ canonical descending-lex term order (x0-major), which makes iteration,
 serialization and the greedy basis extraction deterministic.
 
 Products, powers and substitution (so `compose` and `iterate`) run in
-sympy's sparse ring QQ[x0, ..., xN], cached per variable count: `_poly`
-converts a form in, and `_form` converts a result back to Fractions and
-raises ResourceLimit past TERM_CAP terms.  `check_invariance` divides there.
+sympy's sparse ring QQ[x0, ..., xN], cached per variable count and domain
+(the special basis multiplies primitive parts in ZZ[x0, ..., xN]): `_poly`
+converts a form in, `_form` converts a result back to Fractions, and
+`_capped` raises ResourceLimit past TERM_CAP terms on either path.
+`check_invariance` divides there.
 
 Values of forms at points come from one generic kernel, `_values`, which
 takes forms compiled by `_compile` into term lists (coefficient,
@@ -45,10 +47,10 @@ TERM_CAP = 10**7
 
 
 @functools.cache
-def _ring(nvars: int):
-    """The sparse ring QQ[x0, ..., x_(nvars-1)], lex order with x0 first,
-    in which forms multiply."""
-    return ring([f"x{i}" for i in range(nvars)], QQ, lex)[0]
+def _ring(nvars: int, domain=QQ):
+    """The sparse ring QQ[x0, ..., x_(nvars-1)] (or ZZ[...]), lex order
+    with x0 first, in which forms multiply."""
+    return ring([f"x{i}" for i in range(nvars)], domain, lex)[0]
 
 
 def _poly(form: "HomoForm"):
@@ -57,13 +59,18 @@ def _poly(form: "HomoForm"):
                                     for e, c in form.coeffs.items()})
 
 
+def _capped(poly):
+    """The ring element, or ResourceLimit past TERM_CAP terms."""
+    if len(poly) > TERM_CAP:
+        raise ResourceLimit(f"result exceeds {TERM_CAP} terms")
+    return poly
+
+
 def _form(nvars: int, degree: int, poly) -> "HomoForm":
     """A `_ring` element of known degree as a form with Fraction
     coefficients; ResourceLimit past TERM_CAP terms."""
-    if len(poly) > TERM_CAP:
-        raise ResourceLimit(f"result exceeds {TERM_CAP} terms")
     return HomoForm._of(nvars, degree, {e: Fraction(int(c.numerator), int(c.denominator))
-                                        for e, c in poly.items()})
+                                        for e, c in _capped(poly).items()})
 
 
 def monomials_of_degree(nvars: int, degree: int):

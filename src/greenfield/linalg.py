@@ -1,7 +1,7 @@
-"""Exact linear algebra over Q with two kernels: a sparse fraction-free
-Bareiss determinant and one Gauss-Jordan elimination, the incremental
-reduced row echelon form of `IncrementalRank`, which the echelon solve
-reads.
+"""Exact linear algebra over Q with two fraction-free kernels: a sparse
+Bareiss determinant on rows divided by their contents, and one Gauss-Jordan
+elimination, the incremental reduced row echelon form of `IncrementalRank`
+on gcd-normalised integer rows, which the echelon solve reads.
 
 Everything here is deterministic and exact.  Matrices are lists of
 lists (row-major).
@@ -27,12 +27,14 @@ def bareiss_det(rows: list[list[int]]) -> int:
     multiplying by P_{k-1} and dividing by P_a, and in an updated row the
     same factor cancels the Bareiss division by P_{k-1}, leaving a
     division by P_a.  The determinant is the last pivot, signed by the
-    parities of the orders in which rows and columns became pivots.
+    parities of the orders in which rows and columns became pivots, times
+    the contents (entry gcds) each row is divided by first.
     """
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise DimensionMismatch("determinant of a non-square matrix")
-    mat = [{j: x for j, x in enumerate(r) if x} for r in rows]
+    contents = [math.gcd(*r) or 1 for r in rows]
+    mat = [{j: x // g for j, x in enumerate(r) if x} for r, g in zip(rows, contents)]
     cols = [set() for _ in range(n)]  # column -> active rows with a nonzero there
     for i, row in enumerate(mat):
         for j in row:
@@ -80,7 +82,7 @@ def bareiss_det(rows: list[list[int]]) -> int:
             mat[r] = new
             stamp[r] = k
         pivots.append(p)
-    return sign * pivots[n]
+    return sign * pivots[n] * math.prod(contents)
 
 
 def _markowitz_pivot(mat, cols, live_rows, live_cols):
@@ -139,61 +141,74 @@ def solve_preferring_early_columns(rows, rhs):
     tracker = IncrementalRank(ncols + len(rhs))
     for i, r in enumerate(rows):
         tracker.add(list(r) + [b[i] for b in rhs])
-    if any(piv >= ncols for piv in tracker.rows):
+    rref = tracker.rows
+    if any(piv >= ncols for piv in rref):
         return None
     sols = [[Fraction(0)] * ncols for _ in rhs]
-    for piv, row in tracker.rows.items():
+    for piv, row in rref.items():
         for z, x in zip(sols, row[ncols:]):
             z[piv] = x
     return sols
 
 
 class IncrementalRank:
-    """Greedy exact rank tracker: feed rational vectors one at a time
-    and learn whether each one enlarges the span.  It keeps the reduced
-    row echelon form of the accepted vectors, as {pivot column: row}."""
+    """Greedy exact rank tracker: feed rational vectors (ints, Fractions or
+    both) one at a time and learn whether each one enlarges the span.  It
+    keeps the reduced row echelon form of the accepted vectors fraction-free,
+    as {pivot column: integer row}: numerators with gcd 1 over the row's own
+    positive entry at its pivot."""
 
     def __init__(self, dim: int):
         self.dim = dim
-        self.rows = {}
+        self._rows = {}
         self.pivots = []  # each accepted pivot's value before normalization
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        return len(self._rows)
+
+    @property
+    def rows(self) -> dict:
+        """The echelon form as {pivot column: Fraction row}, in acceptance order."""
+        return {piv: [Fraction(x, row[piv]) for x in row] for piv, row in self._rows.items()}
 
     def add(self, vec) -> bool:
         """Reduce the vector against the echelon form and insert it if it
-        is independent; returns whether it increased the rank."""
-        v = [Fraction(x) for x in vec]
-        if len(v) != self.dim:
+        is independent; returns whether it increased the rank.  Rows vanish
+        at each other's pivots, so all reduce it at once, over one lcm."""
+        if len(vec) != self.dim:
             raise DimensionMismatch("vector dimension mismatch")
-        for piv, row in self.rows.items():
-            c = v[piv]
-            if c:
-                for j in range(piv, self.dim):
-                    if row[j]:
-                        v[j] -= c * row[j]
+        den = math.lcm(*(x.denominator for x in vec))
+        v = [x.numerator * (den // x.denominator) for x in vec]
+        hits = [(row, v[piv], row[piv]) for piv, row in self._rows.items() if v[piv]]
+        lcm = math.lcm(*(p for _, _, p in hits))
+        v = [lcm * x for x in v]
+        for row, c, p in hits:
+            m = c * (lcm // p)
+            v = [x - m * y for x, y in zip(v, row)]
         piv = next((j for j, x in enumerate(v) if x), None)
         if piv is None:
             return False
-        self.pivots.append(v[piv])
-        inv = 1 / v[piv]
-        v = [x * inv for x in v]
-        for row in self.rows.values():
-            c = row[piv]
-            if c:
-                for j in range(piv, self.dim):
-                    if v[j]:
-                        row[j] -= c * v[j]
-        if piv in self.rows:
+        self.pivots.append(Fraction(v[piv], den * lcm))
+        g = math.gcd(*v) if v[piv] > 0 else -math.gcd(*v)
+        v = [x // g for x in v]
+        q = v[piv]
+        for other, row in self._rows.items():
+            e = row[piv]
+            if e:
+                g = math.gcd(q, e)
+                a, b = q // g, e // g
+                row = [a * x - b * y for x, y in zip(row, v)]
+                g = math.gcd(*row)
+                self._rows[other] = [x // g for x in row] if g > 1 else row
+        if piv in self._rows:
             raise InternalCheckError("duplicate pivot")
-        self.rows[piv] = v
+        self._rows[piv] = v
         return True
 
     def det(self) -> Fraction:
         """det of dim accepted vectors as rows, in acceptance order: `add` divides it only
         by the pivots, and ends at the identity's rows in the pivot columns' order."""
-        order = list(self.rows)
+        order = list(self._rows)
         inversions = sum(a > b for i, a in enumerate(order) for b in order[i + 1:])
         return (-1) ** inversions * math.prod(self.pivots)

@@ -11,11 +11,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from greenfield import basis as basis_mod
+from greenfield import homopoly
 from greenfield.basis import (degree_chain, floor_G, gen_degrees, monomial_basis,
                               section_dim, spanning_family, special_basis,
                               t1_floor, t2_floor)
 from greenfield.dynsys import DynSystem
-from greenfield.errors import DomainError, NotAMorphism
+from greenfield.errors import DomainError, NotAMorphism, ResourceLimit
 from greenfield.homopoly import (HomoForm, PolyMap, ProjPoint, evaluate, form_str, iterate,
                                  monomials_of_degree, parse_form, parse_map)
 from greenfield.linalg import IncrementalRank, det_fraction
@@ -119,9 +120,9 @@ def test_special_basis_on_plane_cubic():
     index = {m: i for i, m in enumerate(monos)}
     tracker = IncrementalRank(len(monos))
     for row in _ideal_rows(system, 3):
-        tracker.add(_coeff_vector(row, index))
+        tracker.add(_coeff_vector(row.coeffs, index))
     for el in fam.elements:
-        assert tracker.add(_coeff_vector(el.expanded, index)) is True
+        assert tracker.add(_coeff_vector(el.expanded.coeffs, index)) is True
 
 
 def test_special_basis_relaxes_below_the_window():
@@ -276,6 +277,100 @@ def test_evaluation_det_falls_back_to_bareiss_off_p1(case):
         got = fam.det(system, lifts)
     assert seen == [rows]
     assert got == det_fraction(rows)
+
+
+class _FractionRank:
+    """The Fraction reduced row echelon form the basis was first extracted
+    with, kept as the reference for `IncrementalRank`'s integer rows."""
+
+    def __init__(self):
+        self.rows, self.pivots = {}, []
+
+    def add(self, vec):
+        v = [Fraction(x) for x in vec]
+        for piv, row in self.rows.items():
+            if v[piv]:
+                c = v[piv]
+                v = [x - c * y for x, y in zip(v, row)]
+        piv = next((j for j, x in enumerate(v) if x), None)
+        if piv is None:
+            return False
+        p = v[piv]
+        self.pivots.append(p)
+        v = [x / p for x in v]
+        for row in self.rows.values():
+            if row[piv]:
+                c = row[piv]
+                row[:] = [x - c * y for x, y in zip(row, v)]
+        self.rows[piv] = v
+        return True
+
+    def det(self):
+        order = list(self.rows)
+        inversions = sum(a > b for i, a in enumerate(order) for b in order[i + 1:])
+        return (-1) ** inversions * math.prod(self.pivots)
+
+
+def _reference_basis(system, n):
+    """The greedy extraction on Fraction forms multiplied in the QQ ring
+    and the Fraction elimination: kept (eta, factors, form), relaxed_j and
+    det(C) on P^1."""
+    nvars = system.map.nvars
+    monos = monomials_of_degree(nvars, n)
+    tracker = _FractionRank()
+    for row in basis_mod._ideal_rows(system, n):
+        tracker.add([row.coeffs.get(m, 0) for m in monos])
+    kept, relaxed = [], False
+    for el, primary in spanning_family(system, n):
+        form = HomoForm.monomial(nvars, el.eta)
+        for i, k, j in el.factors:
+            form = form * system.iterate(k).forms[i] ** j
+        if tracker.add([form.coeffs.get(m, 0) for m in monos]):
+            kept.append((el.eta, el.factors, form))
+            relaxed = relaxed or not primary
+            if len(kept) == section_dim(system, n):
+                break
+    det = (-1) ** (n * (n + 1) // 2) * tracker.det() if system.is_p1 else None
+    return kept, relaxed, det
+
+
+def _assert_matches_reference(system, n):
+    fam = special_basis(system, n)
+    kept, relaxed, det = _reference_basis(system, n)
+    assert [(el.eta, el.factors) for el in fam.elements] == [(eta, f) for eta, f, _ in kept]
+    assert [el.expanded for el in fam.elements] == [form for _, _, form in kept]
+    assert (fam.relaxed_j, fam.coeff_det) == (relaxed, det)
+
+
+_SCALES = st.sampled_from([Fraction(1), Fraction(2), Fraction(-3, 4), Fraction(6), Fraction(10, 9)])
+
+
+@settings(max_examples=25, deadline=None)
+@given(_system(2, (2, 3, 4)), _SCALES, _SCALES, st.integers(1, 40))
+def test_special_basis_matches_the_fraction_reference(system, a, b, n):
+    # contents other than 1 in each coordinate form: the integer path
+    # carries them outside the tracker and multiplies them into det(C)
+    f0, f1 = system.map.forms
+    _assert_matches_reference(DynSystem(PolyMap([f0.scale(a), f1.scale(b)])), n)
+
+
+@pytest.mark.parametrize("forms, hypersurface, n", [
+    (["2*x0^2", "3/2*x1^2", "x2^2"], None, n) for n in range(1, 7)] + [
+    (["x0^2", "x1^2", "x2^2"], "x0*x2 - x1^2", n) for n in range(1, 6)])
+def test_special_basis_matches_the_fraction_reference_on_p2(forms, hypersurface, n):
+    system = DynSystem(parse_map(forms), hypersurface and parse_form(hypersurface, 3))
+    _assert_matches_reference(system, n)
+
+
+def test_integer_products_keep_the_term_cap(monkeypatch):
+    # the iterates are built under the default cap, so only the candidates'
+    # products in the integer ring can exceed the lowered one
+    system = DynSystem(parse_map(["x0^2 + 1/2*x1^2", "x1^2"]))
+    for k in (1, 2, 3):
+        system.iterate(k)
+    monkeypatch.setattr(homopoly, "TERM_CAP", 4)
+    with pytest.raises(ResourceLimit, match="exceeds 4 terms"):
+        special_basis(system, 12)
 
 
 @lru_cache(maxsize=None)

@@ -347,6 +347,18 @@ def test_multiples_prints_determinants_beyond_the_str_limit(capsys):
     assert len(payload["determinant"]) > 4300
 
 
+def test_resultant_prints_values_beyond_the_str_limit(capsys, tmp_path):
+    # Res(10^3000 x0^2, x1^2) = 10^6000 has 6,001 digits, over Python's
+    # default int-to-str limit (4300), which the command must restore
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"N": 1, "d": 2, "forms": ["1" + "0" * 3000 + "*x0^2", "x1^2"]}))
+    limit = sys.get_int_max_str_digits()
+    code, out = run_json(capsys, ["resultant", str(path)])
+    assert code == 0
+    assert sys.get_int_max_str_digits() == limit
+    assert out == "1" + "0" * 6000 + "\n"
+
+
 def test_negative_values_parse_after_a_space(capsys, half_cfg):
     # "--point -1,1" begins with the option prefix; it must parse like
     # "--point=-1,1" rather than as an unknown option

@@ -201,7 +201,7 @@ def test_basis_change_det_relation(chebyshev):
     mono = monomial_basis(1, n)
     monos = monomials_of_degree(2, n)
     index = {m: i for i, m in enumerate(monos)}
-    m_rows = [_coeff_vector(el.expanded, index) for el in special.elements]
+    m_rows = [_coeff_vector(el.expanded.coeffs, index) for el in special.elements]
     det_m = det_fraction(m_rows)  # special = M * monomial
     assert det_m != 0
     lifts = [exact([k, 1]) for k in range(n + 1)]

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -177,6 +178,17 @@ def test_bareiss_matches_sympy_on_sparse_matrices(case):
 
 
 @settings(max_examples=100)
+@given(sparse_int_matrices(), st.data())
+def test_bareiss_row_scaling_multiplies_the_determinant(case, data):
+    # bareiss_det divides each row by its content first: scaling row i by
+    # k_i multiplies the determinant by prod k_i
+    rows, _ = case
+    ks = [data.draw(st.sampled_from([1, -1, 2, 3, -4, 9, Q61])) for _ in rows]
+    scaled = [[k * x for x in r] for k, r in zip(ks, rows)]
+    assert bareiss_det(scaled) == _sympy_det(scaled) == math.prod(ks) * _sympy_det(rows)
+
+
+@settings(max_examples=100)
 @given(st.integers(0, 7).flatmap(lambda n: st.lists(
     st.lists(st.one_of(st.just(Fraction(0)),
                        st.fractions(min_value=-10**6, max_value=10**6,
@@ -196,8 +208,11 @@ def vector_sequences(draw):
     denominators 1, 2, 3, q or 2q, so some are 0 mod q and some have no
     residue; about half the vectors are integer combinations of earlier
     ones, some shifted by a multiple of q in one entry (dependent mod q,
-    independent over Q)."""
+    independent over Q).  A sequence holds Fractions, ints (the integral
+    entries converted) or a mix of both; some vectors are negated, so that
+    pivots come out negative, and some are zero or repeat an earlier one."""
     dim = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(["fraction", "int", "mixed"]))
     entry = st.builds(lambda a, k, den: Fraction(a + k * Q61, den),
                       st.integers(-3, 3), st.integers(-1, 1),
                       st.sampled_from([1, 1, 1, 2, 3, Q61, 2 * Q61]))
@@ -208,8 +223,18 @@ def vector_sequences(draw):
             v = [sum((c * w[j] for c, w in zip(coeffs, vecs)), Fraction(0))
                  for j in range(dim)]
             v[draw(st.integers(0, dim - 1))] += draw(st.integers(-1, 1)) * Q61
+        elif vecs and draw(st.integers(0, 4)) == 0:
+            v = list(draw(st.sampled_from(vecs)))
+        elif draw(st.integers(0, 6)) == 0:
+            v = [0] * dim
         else:
             v = [draw(entry) for _ in range(dim)]
+        if kind == "int":
+            v = [x.numerator // x.denominator if isinstance(x, Fraction) else x for x in v]
+        elif kind == "mixed":
+            v = [int(x) if x.denominator == 1 and draw(st.booleans()) else x for x in v]
+        if draw(st.booleans()):
+            v = [-x for x in v]
         vecs.append(v)
     return dim, vecs
 
@@ -225,9 +250,12 @@ def test_incremental_rank_matches_sympy_on_prefixes(case):
     dim, vecs = case
     tr = IncrementalRank(dim)
     rank = 0
+    accepted = []
     for k, v in enumerate(vecs):
         new_rank = _sympy_matrix(vecs[:k + 1]).rank()
         assert tr.add(v) is (new_rank > rank)
+        if new_rank > rank:
+            accepted.append(v)
         rank = new_rank
         assert tr.rank == rank
     rref, pivots = _sympy_matrix(vecs).rref()
@@ -235,6 +263,16 @@ def test_incremental_rank_matches_sympy_on_prefixes(case):
     for i, piv in enumerate(pivots):
         assert [sympy.Rational(x.numerator, x.denominator) for x in tr.rows[piv]] == \
             list(rref.row(i))
+    # the k-th pivot is the Schur complement det(M_k) / det(M_(k-1)) of the
+    # first k accepted vectors on the first k pivot columns, in acceptance order
+    order = list(tr.rows)
+    minors = [sympy.Integer(1)] + [_sympy_matrix(accepted[:k]).extract(range(k), order[:k]).det()
+                                   for k in range(1, rank + 1)]
+    assert [sympy.Rational(p.numerator, p.denominator) for p in tr.pivots] == \
+        [minors[k] / minors[k - 1] for k in range(1, rank + 1)]
+    if rank == dim:
+        det = tr.det()
+        assert sympy.Rational(det.numerator, det.denominator) == _sympy_matrix(accepted).det()
 
 
 @st.composite

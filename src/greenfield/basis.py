@@ -32,7 +32,7 @@ from .errors import DimensionMismatch, DomainError, InternalCheckError, Resource
 from .dynsys import DynSystem
 from .homopoly import (HomoForm, ProjPoint, _capped, _form, _poly, _ring, form_str,
                        monomials_of_degree)
-from .linalg import IncrementalRank, det_fraction
+from .linalg import IncrementalRank, det_fraction, integral
 from .pffield import LogMag, MINUS_INFINITY, Place, abs_log
 
 # Enumeration guardrail: abort after this multiple of c(n) candidates.
@@ -189,13 +189,9 @@ class BasisFamily:
             raise DimensionMismatch(f"need {self.cn} lifts with {system.N + 1} coordinates")
         if not system.is_p1:
             return det_fraction([self.row(system, pt) for pt in lifts])
-        ints, scale = [], 1  # integer lifts and the product of their denominators
-        for pt in lifts:
-            x, y = pt.lift
-            l = math.lcm(x.denominator, y.denominator)
-            ints.append((x.numerator * (l // x.denominator), y.numerator * (l // y.denominator)))
-            scale *= l
-        wedges = math.prod(a - b for a, b in _wedge_terms(ints))
+        lifted = [integral(pt.lift) for pt in lifts]  # (integer lift, its denominator)
+        wedges = math.prod(a - b for a, b in _wedge_terms([v for v, _ in lifted]))
+        scale = math.prod(den for _, den in lifted)
         # every point lies in n of the pairs
         return self.coeff_det * Fraction(wedges, scale**self.n)
 

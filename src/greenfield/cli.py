@@ -2,8 +2,11 @@
 
 All randomness is seeded, outputs are emitted with sorted keys, and
 rationals are serialized as strings, so identical invocations produce
-byte-identical output.  Exit codes: 0 success, 1 precondition/domain
-violations and failed internal checks, 2 parse errors.
+byte-identical output.  Each subcommand handler returns its result (a
+JSON payload, the resultant's text, or a payload with its CSV rows) and
+`run` writes it once, to --out or stdout, then the rows to --csv.
+Exit codes: 0 success, 1 precondition/domain violations and failed
+internal checks, 2 parse errors.
 """
 
 import argparse
@@ -183,15 +186,6 @@ def _height_json(profile) -> dict:
     }
 
 
-def _emit(payload, out_path: str | None):
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _write_csv(path: str, rows: list[dict]):
     fields = sorted({k for row in rows for k in row})
     with open(path, "w", newline="") as fh:
@@ -225,25 +219,20 @@ def _str_unlimited(x) -> str:
 
 
 def _cmd_resultant(args):
-    sys.stdout.write(_str_unlimited(args.system.resultant) + "\n")
-    return 0
+    return _str_unlimited(args.system.resultant) + "\n"
 
 
 def _cmd_height(args):
     point = _parse_point(args.point)
     canonical = _height_json(canonical_height(args.system, point, args.tol))
     _check_reached(canonical["error"], args.tol)
-    _emit(
-        {
-            "kind": "height",
-            "point": [str(x) for x in point.lift],
-            "canonical": canonical,
-            "weil": _height_json(weil_height(point)),
-            "tol": args.tol,
-        },
-        args.out,
-    )
-    return 0
+    return {
+        "kind": "height",
+        "point": [str(x) for x in point.lift],
+        "canonical": canonical,
+        "weil": _height_json(weil_height(point)),
+        "tol": args.tol,
+    }
 
 
 def _cmd_escape(args):
@@ -251,40 +240,32 @@ def _cmd_escape(args):
     place = Place.parse(args.place)
     rate = escape_rate(args.system, place, point, args.tol)
     _check_reached(rate.arch_err, args.tol)
-    _emit(
-        {
-            "kind": "escape",
-            "place": repr(place),
-            "point": [str(x) for x in point.lift],
-            **_local_json(rate),
-            "membership": membership_of(rate, args.tol).value,
-        },
-        args.out,
-    )
-    return 0
+    return {
+        "kind": "escape",
+        "place": repr(place),
+        "point": [str(x) for x in point.lift],
+        **_local_json(rate),
+        "membership": membership_of(rate, args.tol).value,
+    }
 
 
 def _cmd_basis(args):
     fam = special_basis(args.system, args.n)
-    _emit(
-        {
-            "kind": "basis",
-            "n": fam.n,
-            "c": fam.cn,
-            "relaxed_j": fam.relaxed_j,
-            "elements": [
-                {
-                    "provenance": el.describe(),
-                    "factors": [list(t) for t in el.factors],
-                    "eta": list(el.eta),
-                    "form": form_str(el.expanded),
-                }
-                for el in fam.elements
-            ],
-        },
-        args.out,
-    )
-    return 0
+    return {
+        "kind": "basis",
+        "n": fam.n,
+        "c": fam.cn,
+        "relaxed_j": fam.relaxed_j,
+        "elements": [
+            {
+                "provenance": el.describe(),
+                "factors": [list(t) for t in el.factors],
+                "eta": list(el.eta),
+                "form": form_str(el.expanded),
+            }
+            for el in fam.elements
+        ],
+    }
 
 
 def _select_basis(system, n, kind):
@@ -318,8 +299,7 @@ def _cmd_green(args):
     }
     if wit is not None:
         payload["witness_logd"] = _logmag_json(wit)
-    _emit(payload, args.out)
-    return 0
+    return payload
 
 
 def _cmd_fekete(args):
@@ -328,35 +308,28 @@ def _cmd_fekete(args):
     env = hadamard_envelope(system, args.n, julia_radius_log(system, arch), arch)
     basis = _select_basis(system, args.n, args.basis)
     res = fekete_search(system, basis, args.budget, args.seed)
-    _emit(
-        {
-            "kind": "fekete",
-            "n": args.n,
-            "c": basis.cn,
-            "place": "inf",
-            "seed": args.seed,
-            "budget": args.budget,
-            "evaluations": res.evaluations,
-            "witness_logd": None if res.witness is MINUS_INFINITY else res.witness.total(),
-            "envelope_logd": env / (args.n * basis.cn),
-            "log_det": res.log_det,
-            "tuple": [[repr(z) for z in pt.lift] for pt in res.lifts],
-        },
-        args.out,
-    )
-    return 0
+    return {
+        "kind": "fekete",
+        "n": args.n,
+        "c": basis.cn,
+        "place": "inf",
+        "seed": args.seed,
+        "budget": args.budget,
+        "evaluations": res.evaluations,
+        "witness_logd": None if res.witness is MINUS_INFINITY else res.witness.total(),
+        "envelope_logd": env / (args.n * basis.cn),
+        "log_det": res.log_det,
+        "tuple": [[repr(z) for z in pt.lift] for pt in res.lifts],
+    }
 
 
 def _cmd_adelic(args):
     report = adelic_report(args.system, _parse_int_list(args.n, "degree"), args.budget,
                            args.seed, args.tol)
-    _emit(report, args.out)
-    if args.csv:
-        _write_csv(args.csv, [
-            {"n": e["n"], "c": e["c"], "place": place,
-             "envelope_logd": e["envelopes"][place], "witness_logd": e["witnesses"][place]}
-            for e in report["entries"] for place in report["places"]])
-    return 0
+    return report, [
+        {"n": e["n"], "c": e["c"], "place": place,
+         "envelope_logd": e["envelopes"][place], "witness_logd": e["witnesses"][place]}
+        for e in report["entries"] for place in report["places"]]
 
 
 def _rational_pair(text: str, what: str) -> list[Fraction]:
@@ -379,30 +352,23 @@ def _cmd_multiples(args):
     bound = 2 * n**g + cn
     orbit = lattes.orbit(bound)
     res = multiples_search(lattes.system, orbit, n)
-    _emit(
-        {
-            "schema": "greenfield-report/1",
-            "kind": "multiples",
-            "curve": [str(lattes.curve.a), str(lattes.curve.b)],
-            "point": [str(lattes.base_point[0]), str(lattes.base_point[1])],
-            "n": n,
-            "c": cn,
-            "bound": bound,
-            "indices": res.indices,
-            "determinant": _str_unlimited(res.determinant),
-        },
-        args.out,
-    )
-    return 0
+    return {
+        "schema": "greenfield-report/1",
+        "kind": "multiples",
+        "curve": [str(lattes.curve.a), str(lattes.curve.b)],
+        "point": [str(lattes.base_point[0]), str(lattes.base_point[1])],
+        "n": n,
+        "c": cn,
+        "bound": bound,
+        "indices": res.indices,
+        "determinant": _str_unlimited(res.determinant),
+    }
 
 
 def _cmd_lehmer(args):
     lattes = _curve_and_point(args)
     table = lehmer_scan(lattes, _parse_int_list(args.depths, "depth"), args.tol)
-    _emit(table, args.out)
-    if args.csv:
-        _write_csv(args.csv, table["rows"])
-    return 0
+    return table, table["rows"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -497,7 +463,18 @@ def run(argv) -> int:
             _check_tol(args.tol, "--tol")
         if hasattr(args, "system"):
             _resolve_system(args)
-        return args.fn(args)
+        result = args.fn(args)
+        text, rows = result if isinstance(result, tuple) else (result, None)
+        if not isinstance(text, str):
+            text = json.dumps(text, indent=2, sort_keys=True) + "\n"
+        if getattr(args, "out", None):
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+        if getattr(args, "csv", None):
+            _write_csv(args.csv, rows)
+        return 0
     except errors.InputError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

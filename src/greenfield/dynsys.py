@@ -31,6 +31,7 @@ from fractions import Fraction
 from .errors import DimensionMismatch, DomainError, InternalCheckError, NotAMorphism
 from .homopoly import (HomoForm, PolyMap, ProjPoint, _compile, _form, _poly, _values,
                        coeff_sup_log, evaluate, iterate)
+from .linalg import integral
 from .macaulay import elimination_certificates, macaulay_degree, macaulay_resultant
 from .pffield import LogMag, Place, abs_log, sup_log
 
@@ -62,19 +63,16 @@ class ReductionInfo:
 class DynSystem:
     """A lift F of a morphism of P^N, optionally restricted to an
     invariant hypersurface X = V(G).  Derived data (resultant,
-    certificates, per-place growth constants and reduction types) is
-    computed once and cached."""
+    certificates, per-place growth constants and reduction types, the
+    archimedean tail per tol) is computed once, under the lock, and kept
+    in `_cache`; a hit reads it without the lock."""
 
     def __init__(self, pm: PolyMap, hypersurface: HomoForm | None = None):
         self.map = pm
         self.hypersurface = hypersurface
-        self._lock = threading.Lock()
-        self._resultant = None
+        self._lock = threading.RLock()  # growth_constants reads certificates under it
         self._iter_cache: dict[int, PolyMap] = {}
-        self._certs = None
-        self._growth: dict[Place, tuple[float, float]] = {}
-        self._reduction: dict[Place, ReductionInfo] = {}
-        self._arch_tail: dict[float, tuple[int, float]] = {}  # tol -> (K, bound)
+        self._cache = {}  # "resultant", "certificates", or (kind, place or tol) -> value
         if self.resultant == 0:
             raise NotAMorphism("not a morphism: Res(F) = 0")
         if hypersurface is not None:
@@ -104,12 +102,19 @@ class DynSystem:
         """X = P^1: one projective dimension and no hypersurface."""
         return self.N == 1 and self.hypersurface is None
 
+    def _cached(self, key, compute, *args):
+        """compute(*args) once per key: a miss takes the lock and looks again."""
+        got = self._cache.get(key)
+        if got is None:
+            with self._lock:
+                got = self._cache.get(key)
+                if got is None:
+                    got = self._cache[key] = compute(*args)
+        return got
+
     @property
     def resultant(self) -> Fraction:
-        with self._lock:
-            if self._resultant is None:
-                self._resultant = macaulay_resultant(self.map)
-            return self._resultant
+        return self._cached("resultant", macaulay_resultant, self.map)
 
     def iterate(self, k: int) -> PolyMap:
         with self._lock:
@@ -118,51 +123,44 @@ class DynSystem:
     @property
     def certificates(self) -> list[list[HomoForm]]:
         """Elimination certificates for the pure powers x_i^e."""
-        with self._lock:
-            if self._certs is None:
-                n = self.map.nvars
-                e = macaulay_degree(self.degree, self.N)
-                targets = [
-                    HomoForm.monomial(n, tuple(e if j == i else 0 for j in range(n)))
-                    for i in range(n)
-                ]
-                self._certs = elimination_certificates(self.map, targets)
-            return self._certs
+        return self._cached("certificates", _certificates, self)
 
     def growth_constants(self, place: Place) -> tuple[float, float]:
         """(c_lo, c_hi) with -c_lo <= log||F(Q)|| - d log||Q|| <= c_hi
         for every nonzero Q over C_v."""
-        got = self._growth.get(place)
-        if got is not None:
-            return got
-        pm = self.map
-        sup = coeff_sup_log(pm, place)
-        eta_sup = sup_log(place, [c for cert in self.certificates for eta in cert
-                                  for c in eta.coeffs.values()])
-        eta_terms = max(
-            max((len(eta.coeffs) for eta in cert), default=1) for cert in self.certificates
-        )
-        if place.is_archimedean:
-            terms = max(len(f.coeffs) for f in pm.forms)
-            c_hi = sup.total() + math.log(terms) + 1e-12
-            c_lo = math.log(pm.nvars) + math.log(max(eta_terms, 1)) + eta_sup.arch + 1e-12
-            c_lo = max(c_lo, 0.0)
-        else:
-            c_hi = sup.total()
-            c_lo = eta_sup.total()
-        pair = (c_lo, c_hi)
-        with self._lock:
-            self._growth[place] = pair
-        return pair
+        return self._cached(("growth", place), _growth_constants, self, place)
 
     def reduction(self, place: Place) -> ReductionInfo:
-        got = self._reduction.get(place)
-        if got is not None:
-            return got
-        info = _reduction_type(self, place)
-        with self._lock:
-            self._reduction[place] = info
-        return info
+        return self._cached(("reduction", place), _reduction_type, self, place)
+
+
+def _certificates(system: DynSystem) -> list[list[HomoForm]]:
+    n = system.map.nvars
+    e = macaulay_degree(system.degree, system.N)
+    targets = [
+        HomoForm.monomial(n, tuple(e if j == i else 0 for j in range(n)))
+        for i in range(n)
+    ]
+    return elimination_certificates(system.map, targets)
+
+
+def _growth_constants(system: DynSystem, place: Place) -> tuple[float, float]:
+    pm = system.map
+    sup = coeff_sup_log(pm, place)
+    eta_sup = sup_log(place, [c for cert in system.certificates for eta in cert
+                              for c in eta.coeffs.values()])
+    eta_terms = max(
+        max((len(eta.coeffs) for eta in cert), default=1) for cert in system.certificates
+    )
+    if place.is_archimedean:
+        terms = max(len(f.coeffs) for f in pm.forms)
+        c_hi = sup.total() + math.log(terms) + 1e-12
+        c_lo = math.log(pm.nvars) + math.log(max(eta_terms, 1)) + eta_sup.arch + 1e-12
+        c_lo = max(c_lo, 0.0)
+    else:
+        c_hi = sup.total()
+        c_lo = eta_sup.total()
+    return c_lo, c_hi
 
 
 def check_invariance(pm: PolyMap, g: HomoForm) -> InvarianceResult:
@@ -225,8 +223,7 @@ def _escape_padic_bad(system: DynSystem, place: Place, lift: ProjPoint, tol: flo
     c_hi_s = c_hi + log_s_v
     int_forms = [_compile({expo: int(c * s) for expo, c in f.coeffs.items()}, False)
                  for f in system.map.forms]
-    den = math.lcm(*[x.denominator for x in lift.lift])
-    v0 = [int(x * den) for x in lift.lift]
+    v0, den = integral(lift.lift)
     shift0 = min(place.valuation(x) for x in v0 if x)  # v0 / p^shift0 is primitive at p
     v = [x // p**shift0 for x in v0]
     # H_F(lift) = H_{F'}(v) - log|s|_v/(d-1) - log|lam|_v,  lam = den/p^shift0,
@@ -261,14 +258,13 @@ def _escape_padic_bad(system: DynSystem, place: Place, lift: ProjPoint, tol: flo
 
 def _arch_tail(system: DynSystem, tol: float) -> tuple[int, float]:
     """(K, bound) of the archimedean escape loop, once per (system, tol)."""
-    got = system._arch_tail.get(tol)
-    if got is None:
-        c_lo, c_hi = system.growth_constants(Place.archimedean())
-        bound = max(abs(c_lo), abs(c_hi), 1e-9)
-        got = (_tail_steps(system.degree, bound, tol), bound)
-        with system._lock:
-            system._arch_tail[tol] = got
-    return got
+    return system._cached(("arch_tail", tol), _arch_tail_of, system, tol)
+
+
+def _arch_tail_of(system: DynSystem, tol: float) -> tuple[int, float]:
+    c_lo, c_hi = system.growth_constants(Place.archimedean())
+    bound = max(abs(c_lo), abs(c_hi), 1e-9)
+    return _tail_steps(system.degree, bound, tol), bound
 
 
 def _escape_arch(system: DynSystem, lift: ProjPoint, tol: float) -> LogMag:

@@ -23,6 +23,7 @@ from .errors import DomainError, InternalCheckError, PreconditionError, Resource
 from .green import dbn_witness, fekete_search, hadamard_envelope, julia_radius_log
 from .heights import canonical_height, contributing_places
 from .homopoly import HomoForm, PolyMap, ProjPoint
+from .linalg import integral
 from .pffield import LogMag, MINUS_INFINITY, Place
 
 
@@ -330,9 +331,7 @@ def _preimage_factors(lattes: LattesSystem, depth: int):
         poly[deg - i] = cval
     if poly[0] == 0:
         raise InternalCheckError("preimage polynomial dropped degree")
-    den = math.lcm(*(c.denominator for c in poly))
-    ints = [ZZ(c.numerator * (den // c.denominator)) for c in poly]
-    _const, factors = dup_factor_list(ints, ZZ)
+    _const, factors = dup_factor_list([ZZ(c) for c in integral(poly)[0]], ZZ)
     return factors
 
 

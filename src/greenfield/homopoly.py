@@ -501,26 +501,11 @@ def parse_form(text: str, nvars: int) -> HomoForm:
         raise InputError("empty form text")
     if s == "0":
         raise InputError("cannot parse zero form without a degree; use HomoForm.zero")
-    # split into signed terms at top level
-    terms = []
-    cur = []
-    sign = 1
-    i = 0
-    if s[0] in "+-":
-        sign = -1 if s[0] == "-" else 1
-        i = 1
-    while i <= len(s):
-        ch = s[i] if i < len(s) else None
-        if ch in ("+", "-") or ch is None:
-            tok = "".join(cur).strip()
-            if not tok:
-                raise InputError(f"dangling sign in {text!r}")
-            terms.append((sign, tok))
-            cur = []
-            sign = -1 if ch == "-" else 1
-        else:
-            cur.append(ch)
-        i += 1
+    # split into signed terms before each sign; a leading sign leaves an empty first piece
+    pieces = re.split(r"(?=[+-])", s)[s[0] in "+-":]
+    terms = [(-1 if p[0] == "-" else 1, p.lstrip("+-").strip()) for p in pieces]
+    if not all(tok for _, tok in terms):
+        raise InputError(f"dangling sign in {text!r}")
     coeffs: dict[tuple, Fraction] = {}
     degree = None
     for sign, tok in terms:

@@ -1,7 +1,8 @@
 """Exact linear algebra over Q with two fraction-free kernels: a sparse
 Bareiss determinant on rows divided by their contents, and one Gauss-Jordan
 elimination, the incremental reduced row echelon form of `IncrementalRank`
-on gcd-normalised integer rows, which the echelon solve reads.
+on gcd-normalised integer rows, which the echelon solve reads.  `integral`
+clears a rational vector's denominators, for both kernels and their callers.
 
 Everything here is deterministic and exact.  Matrices are lists of
 lists (row-major).
@@ -111,17 +112,19 @@ def _markowitz_pivot(mat, cols, live_rows, live_cols):
     return best
 
 
+def integral(values) -> tuple[list[int], int]:
+    """(ints, den): rationals (ints, Fractions or both) times den, the lcm
+    of their denominators, as integers."""
+    den = math.lcm(*(x.denominator for x in values))
+    return [x.numerator * (den // x.denominator) for x in values], den
+
+
 def det_fraction(rows: list[list]) -> Fraction:
     """Exact determinant of a square rational matrix: each row is scaled
     to integers by the lcm of its denominators before `bareiss_det`."""
-    scale = 1
-    int_rows = []
-    for r in rows:
-        fr = [Fraction(x) if x else 0 for x in r]  # most entries of a Macaulay row are 0
-        l = math.lcm(*(x.denominator for x in fr))
-        scale *= l
-        int_rows.append([x.numerator * (l // x.denominator) for x in fr])
-    return Fraction(bareiss_det(int_rows), scale)
+    # a 0 stays an int: most entries of a Macaulay row are 0
+    pairs = [integral([Fraction(x) if x else 0 for x in r]) for r in rows]
+    return Fraction(bareiss_det([v for v, _ in pairs]), math.prod(d for _, d in pairs))
 
 
 def solve_preferring_early_columns(rows, rhs):
@@ -178,8 +181,7 @@ class IncrementalRank:
         at each other's pivots, so all reduce it at once, over one lcm."""
         if len(vec) != self.dim:
             raise DimensionMismatch("vector dimension mismatch")
-        den = math.lcm(*(x.denominator for x in vec))
-        v = [x.numerator * (den // x.denominator) for x in vec]
+        v, den = integral(vec)
         hits = [(row, v[piv], row[piv]) for piv, row in self._rows.items() if v[piv]]
         lcm = math.lcm(*(p for _, _, p in hits))
         v = [lcm * x for x in v]

@@ -585,6 +585,42 @@ def test_adelic_report_byte_identical(tmp_path, half_cfg):
     assert outs[0] == outs[1]
 
 
+_CURVE = ["--curve", "0,-2", "--point", "3,5"]
+# every subcommand that takes --out; True where it also takes --csv
+_OUT_COMMANDS = {
+    "height": (["height", HALF, "--point", "3/2,1"], False),
+    "escape": (["escape", HALF, "--point", "3/2,1", "--place", "p=2"], False),
+    "basis": (["basis", HALF, "--n", "4"], False),
+    "green": (["green", HALF, "--n", "2", "--points", "0,1;1,1;2,1", "--witness"], False),
+    "fekete": (["fekete", HALF, "--n", "4", "--budget", "100"], False),
+    "adelic-report": (["adelic-report", HALF, "--n", "2,4", "--budget", "100"], True),
+    "multiples": (["multiples", *_CURVE, "--n", "2"], False),
+    "lehmer-scan": (["lehmer-scan", *_CURVE, "--depths", "0,1"], True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_OUT_COMMANDS))
+def test_out_file_holds_the_stdout_bytes(capsys, tmp_path, name):
+    argv, takes_csv = _OUT_COMMANDS[name]
+    to_stdout, to_file = list(argv), [*argv, "--out", str(tmp_path / "out.json")]
+    if takes_csv:
+        to_stdout += ["--csv", str(tmp_path / "a.csv")]
+        to_file += ["--csv", str(tmp_path / "b.csv")]
+    capsys.readouterr()
+    assert run(to_stdout) == 0
+    printed = capsys.readouterr().out.encode()
+    assert run(to_file) == 0
+    assert capsys.readouterr().out == ""
+    assert (tmp_path / "out.json").read_bytes() == printed
+    if takes_csv:
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+    # an --out in a missing directory is a file error: exit 2, one line
+    assert run([*argv, "--out", str(tmp_path / "missing" / "out.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # Fuzzing: argv from a small grammar of commands, options and system files
 

@@ -1,11 +1,15 @@
 import math
 import random
+import sys
+import threading
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from greenfield import dynsys
 from greenfield.dynsys import (DynSystem, Membership, _arch_tail, _escape_arch, check_invariance,
                                escape_rate, membership_of)
 from greenfield.errors import DimensionMismatch, DomainError, InternalCheckError, NotAMorphism
@@ -340,3 +344,51 @@ def test_growth_constants_bound_one_step(power_map, chebyshev, half_map):
                     nfq = -min(place.valuation(x) for x in system.map(pt).lift if x != 0) * math.log(p)
                     delta = nfq - d * nq
                 assert -c_lo - 1e-9 <= delta <= c_hi + 1e-9
+
+
+def test_cached_data_is_computed_once_across_threads(monkeypatch):
+    # growth constants compute the certificates under the lock, so a
+    # non-reentrant lock deadlocks here; the timeout on join shows that
+    calls = []
+    real = dynsys.elimination_certificates
+
+    def counting(*args):
+        calls.append(args)
+        time.sleep(0.05)  # keep the miss open while the other threads arrive
+        return real(*args)
+
+    monkeypatch.setattr(dynsys, "elimination_certificates", counting)
+    system = DynSystem(parse_map(["x0^2 + 1/2*x1^2", "x1^2"]))
+    p2 = Place.prime(2)
+    steps = [lambda: system.certificates,
+             lambda: system.growth_constants(ARCH),
+             lambda: system.growth_constants(p2),
+             lambda: system.reduction(p2),
+             lambda: _arch_tail(system, 1e-9)]
+    nthreads = 8
+    barrier = threading.Barrier(nthreads)
+    results = [None] * nthreads
+
+    def work(i):
+        barrier.wait()
+        # each thread starts at a different entry point
+        order = [(i + k) % len(steps) for k in range(len(steps))]
+        got = {k: steps[k]() for k in order}
+        results[i] = [got[k] for k in range(len(steps))]
+
+    threads = [threading.Thread(target=work, args=(i,), daemon=True) for i in range(nthreads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, between a miss and its store too
+    try:
+        for t in threads:
+            t.start()
+        deadline = time.monotonic() + 30
+        for t in threads:
+            t.join(timeout=max(0.0, deadline - time.monotonic()))
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads), "a thread is still waiting on the lock"
+    assert len(calls) == 1
+    assert None not in results
+    for got in results[1:]:
+        assert all(a is b for a, b in zip(got, results[0]))

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from greenfield import homopoly
@@ -287,6 +287,78 @@ def test_parse_form_rejects_bad_input():
                     ("1/0*x0", 2)):
         with pytest.raises(InputError):
             parse_form(bad, nv)
+
+
+_SPACES = st.sampled_from(["", " ", "  ", "\t"])
+
+
+@st.composite
+def _spaced_texts(draw):
+    """A form and its text with random spaces around each sign and an
+    optional "+" before a positive first term."""
+    f = draw(_sparse_forms())
+    parts = []
+    for k, (expo, c) in enumerate(f.terms()):
+        sign = "-" if c < 0 else "+" if k or draw(st.booleans()) else ""
+        parts += [draw(_SPACES), sign, draw(_SPACES), homopoly._term_str(expo, abs(c))]
+    return f, "".join(parts)
+
+
+@given(_spaced_texts(), st.sampled_from("+-"), _SPACES, st.data())
+def test_parse_form_reads_signs_with_any_spacing(case, extra, space, data):
+    f, text = case
+    assert parse_form(text, f.nvars) == f
+    # a trailing sign, and a second sign after any sign, leave a term empty
+    bad = [text + space + extra]
+    signs = [i for i, ch in enumerate(text) if ch in "+-"]
+    if signs:
+        i = data.draw(st.sampled_from(signs))
+        bad.append(text[:i + 1] + space + extra + text[i + 1:])
+    for b in bad:
+        with pytest.raises(InputError, match="dangling sign"):
+            parse_form(b, f.nvars)
+
+
+def _reference_parse_form(text, nvars):
+    """parse_form with the terms split by the character loop it used
+    before the split became one regular expression; the terms go through
+    parse_form again, each with its sign in front."""
+    s = text.strip()
+    if not s or s == "0":
+        return parse_form(text, nvars)  # checks made before any split
+    terms = []
+    cur = []
+    sign = 1
+    i = 0
+    if s[0] in "+-":
+        sign = -1 if s[0] == "-" else 1
+        i = 1
+    while i <= len(s):
+        ch = s[i] if i < len(s) else None
+        if ch in ("+", "-") or ch is None:
+            tok = "".join(cur).strip()
+            if not tok:
+                raise InputError(f"dangling sign in {text!r}")
+            terms.append((sign, tok))
+            cur = []
+            sign = -1 if ch == "-" else 1
+        else:
+            cur.append(ch)
+        i += 1
+    return parse_form("".join(("-" if sg < 0 else "+") + tok for sg, tok in terms), nvars)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+
+
+@settings(max_examples=2000)
+@given(st.text(alphabet="x0123^*/+- \t", max_size=24), st.integers(1, 3))
+def test_parse_form_splits_terms_like_the_character_loop(text, nvars):
+    assert _outcome(parse_form, text, nvars) == _outcome(_reference_parse_form, text, nvars)
 
 
 def test_parse_form_accepts_spec_shapes():

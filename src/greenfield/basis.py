@@ -15,7 +15,8 @@ except for small n, so the enumeration scans that window first and then
 relaxes below it (recording that it had to) until full rank is reached.
 
 A basis is extracted greedily in a fixed deterministic order: an element
-is kept iff it enlarges the exact rank modulo the hypersurface ideal.
+is kept iff it enlarges the exact rank modulo the hypersurface ideal,
+whose integer rows x^mu·sG come from `homopoly.shifted_rows`.
 Candidates are multiplied as contents times primitive integer polynomials,
 whose products stay primitive (Gauss's lemma), and ranked on those integer
 vectors; on P^1, det(C) is the rank tracker's determinant times the contents.
@@ -30,8 +31,8 @@ from sympy import ZZ
 
 from .errors import DimensionMismatch, DomainError, InternalCheckError, ResourceLimit
 from .dynsys import DynSystem
-from .homopoly import (HomoForm, ProjPoint, _capped, _form, _poly, _ring, form_str,
-                       monomials_of_degree)
+from .homopoly import (HomoForm, ProjPoint, _capped, _form, _ring, form_str,
+                       integral_forms, monomials_of_degree, shifted_rows)
 from .linalg import IncrementalRank, det_fraction, integral
 from .pffield import LogMag, MINUS_INFINITY, Place, abs_log
 
@@ -304,9 +305,9 @@ def _elements_for_j(system: DynSystem, n: int, j: int):
             (c, part), (cf, pf) = product(factors[:-1]), product(factors[-1:])
             return c * cf, _capped(part * pf)
         (i, k, jp), = factors
-        den, part = _poly(system.iterate(k).forms[i]).clear_denoms()
-        c, part = part.set_ring(_ring(nvars, ZZ)).primitive()
-        return Fraction(int(c), int(den)) ** jp, _capped(part**jp)
+        den, (ints,) = integral_forms([system.iterate(k).forms[i]])
+        c, part = _ring(nvars, ZZ)(ints).primitive()
+        return Fraction(int(c), den) ** jp, _capped(part**jp)
 
     for rest in sorted(by_rest):
         for eta in monomials_of_degree(nvars, rest):
@@ -338,17 +339,6 @@ def spanning_family(system: DynSystem, n: int):
             yield el, False
 
 
-def _ideal_rows(system: DynSystem, n: int):
-    g = system.hypersurface
-    if g is None or n < g.degree:
-        return []
-    nvars = system.map.nvars
-    rows = []
-    for mu in monomials_of_degree(nvars, n - g.degree):
-        rows.append(HomoForm.monomial(nvars, mu) * g)
-    return rows
-
-
 def _coeff_vector(coeffs: dict, index: dict):
     vec = [0] * len(index)
     for expo, c in coeffs.items():
@@ -364,8 +354,11 @@ def special_basis(system: DynSystem, n: int) -> BasisFamily:
     index = {m: i for i, m in enumerate(monos)}
     target = section_dim(system, n)
     tracker = IncrementalRank(len(monos))
-    for row in _ideal_rows(system, n):
-        tracker.add(_coeff_vector(row.coeffs, index))
+    g = system.hypersurface
+    if g is not None:  # the ideal's degree-n part, x^mu·g; no mu when n < deg g
+        pairs = [(0, mu) for mu in monomials_of_degree(nvars, n - g.degree)]
+        for row in shifted_rows([g], n, pairs)[1]:
+            tracker.add(row)
     if tracker.rank != len(monos) - target:
         raise InternalCheckError("hypersurface ideal rank mismatch")
     cap = CANDIDATE_CAP_FACTOR * math.comb(n + system.N, system.N)

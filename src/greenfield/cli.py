@@ -21,7 +21,7 @@ from fractions import Fraction
 from . import errors
 from .basis import monomial_basis, section_dim, special_basis
 from .dynsys import DynSystem, escape_rate, membership_of
-from .experiments import (EllipticCurve, LattesSystem, adelic_report,
+from .experiments import (EllipticCurve, LattesSystem, adelic_report, check_envelope,
                           lehmer_scan, multiples_search)
 from .green import (dbn_witness, fekete_search, green_value, hadamard_envelope,
                     julia_radius_log)
@@ -61,6 +61,9 @@ class SystemConfig:
 
     @staticmethod
     def from_dict(data: dict, where: str = "<config>") -> "SystemConfig":
+        if not isinstance(data, dict):
+            raise errors.InputError(f"{where}: a system file must hold a JSON object, "
+                                    f"not a {type(data).__name__}")
         try:
             N = _strict_int(data["N"], "N")
             d = _strict_int(data["d"], "d")
@@ -118,7 +121,7 @@ class SystemConfig:
             raise errors.InputError(
                 f"declared d={self.d} but forms have degree {pm.degree}"
             )
-        hyp = parse_form(self.hypersurface, self.N + 1) if self.hypersurface else None
+        hyp = None if self.hypersurface is None else parse_form(self.hypersurface, self.N + 1)
         return DynSystem(pm, hyp)
 
 
@@ -308,6 +311,9 @@ def _cmd_fekete(args):
     env = hadamard_envelope(system, args.n, julia_radius_log(system, arch), arch)
     basis = _select_basis(system, args.n, args.basis)
     res = fekete_search(system, basis, args.budget, args.seed)
+    env /= args.n * basis.cn
+    wit = None if res.witness is MINUS_INFINITY else res.witness.total()
+    check_envelope(wit, env, arch, args.n)
     return {
         "kind": "fekete",
         "n": args.n,
@@ -316,8 +322,8 @@ def _cmd_fekete(args):
         "seed": args.seed,
         "budget": args.budget,
         "evaluations": res.evaluations,
-        "witness_logd": None if res.witness is MINUS_INFINITY else res.witness.total(),
-        "envelope_logd": env / (args.n * basis.cn),
+        "witness_logd": wit,
+        "envelope_logd": env,
         "log_det": res.log_det,
         "tuple": [[repr(z) for z in pt.lift] for pt in res.lifts],
     }
@@ -368,6 +374,7 @@ def _cmd_multiples(args):
 def _cmd_lehmer(args):
     lattes = _curve_and_point(args)
     table = lehmer_scan(lattes, _parse_int_list(args.depths, "depth"), args.tol)
+    _check_reached(table["base_height_err"], args.tol)  # each row's error is at most this
     return table, table["rows"]
 
 

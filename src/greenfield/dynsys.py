@@ -30,7 +30,7 @@ from fractions import Fraction
 
 from .errors import DimensionMismatch, DomainError, InternalCheckError, NotAMorphism
 from .homopoly import (HomoForm, PolyMap, ProjPoint, _compile, _form, _poly, _values,
-                       coeff_sup_log, evaluate, iterate)
+                       coeff_sup_log, evaluate, integral_forms, iterate)
 from .linalg import integral
 from .macaulay import elimination_certificates, macaulay_degree, macaulay_resultant
 from .pffield import LogMag, Place, abs_log, sup_log
@@ -217,12 +217,11 @@ def _escape_padic_bad(system: DynSystem, place: Place, lift: ProjPoint, tol: flo
     logp = math.log(p)
     c_lo, c_hi = system.growth_constants(place)
     # integral model F' = s F and integral primitive-at-p start vector
-    s = math.lcm(*[c.denominator for f in system.map.forms for c in f.coeffs.values()])
+    s, ints = integral_forms(system.map.forms)
     log_s_v = -place.valuation(s) * logp
     c_lo_s = c_lo - log_s_v
     c_hi_s = c_hi + log_s_v
-    int_forms = [_compile({expo: int(c * s) for expo, c in f.coeffs.items()}, False)
-                 for f in system.map.forms]
+    int_forms = [_compile(f, False) for f in ints]
     v0, den = integral(lift.lift)
     shift0 = min(place.valuation(x) for x in v0 if x)  # v0 / p^shift0 is primitive at p
     v = [x // p**shift0 for x in v0]

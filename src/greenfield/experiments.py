@@ -192,6 +192,13 @@ def report_places(system: DynSystem) -> list[Place]:
     return contributing_places(system, probe)
 
 
+def check_envelope(witness: float | None, envelope: float, place: Place, n: int):
+    """The hard check witness <= envelope (up to 1e-6) at degree n, if there is a witness."""
+    if witness is not None and witness > envelope + 1e-6:
+        raise InternalCheckError(f"witness {witness} exceeds envelope {envelope} at {place} "
+                                 f"(n={n})")
+
+
 def _bound_rows(system: DynSystem, n_list, places, tol: float, arch_witness) -> list[dict]:
     """One row per (n, place), n outer: the Hadamard envelope for log d_H(n)
     from the Julia-radius bound, and the witness of `arch_witness(basis,
@@ -212,11 +219,8 @@ def _bound_rows(system: DynSystem, n_list, places, tol: float, arch_witness) -> 
                 w, note = None, str(exc)
             if w is MINUS_INFINITY:
                 w, note = None, "the tuple's evaluation determinant vanishes"
-            if w is not None:
-                w = w.total()
-                if w > env + 1e-6:
-                    raise InternalCheckError(
-                        f"witness {w} exceeds envelope {env} at {place} (n={n})")
+            w = None if w is None else w.total()
+            check_envelope(w, env, place, n)
             rows.append({"n": n, "c": basis.cn, "place": repr(place), "envelope_logd": env,
                          "witness_logd": w, **({"witness_note": note} if note else {})})
     return rows

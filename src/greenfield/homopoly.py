@@ -9,7 +9,8 @@ sympy's sparse ring QQ[x0, ..., xN], cached per variable count and domain
 (the special basis multiplies primitive parts in ZZ[x0, ..., xN]): `_poly`
 converts a form in, `_form` converts a result back to Fractions, and
 `_capped` raises ResourceLimit past TERM_CAP terms on either path.
-`check_invariance` divides there.
+`check_invariance` divides there.  Integer rows come from one integral
+model sF (`integral_forms`) and its monomial shifts (`shifted_rows`).
 
 Values of forms at points come from one generic kernel, `_values`, which
 takes forms compiled by `_compile` into term lists (coefficient,
@@ -40,6 +41,7 @@ from sympy.polys.rings import ring
 
 from .errors import (DimensionMismatch, DomainError, InputError, InternalCheckError,
                      ResourceLimit)
+from .linalg import integral
 from .pffield import LogMag, Place, parse_rational, sup_log
 
 # Cap on the stored terms of a product, power or substitution result.
@@ -86,6 +88,27 @@ def monomials_of_degree(nvars: int, degree: int):
 
     rec((), degree, nvars)
     return out
+
+
+def integral_forms(forms) -> tuple[int, list[dict]]:
+    """(s, [s·F_i as {exponent: int}]): s is the lcm of the coefficient
+    denominators of all the forms, so s·F is the map's integral model."""
+    ints, s = integral([c for f in forms for c in f.coeffs.values()])
+    it = iter(ints)
+    return s, [{e: next(it) for e in f.coeffs} for f in forms]
+
+
+def shifted_rows(forms, m: int, pairs) -> tuple[int, list[list[int]]]:
+    """(s, rows): s as in `integral_forms`, and for each (i, mu) in pairs
+    the integer coefficients of x^mu · s·F_i over the degree-m monomials
+    in descending lex."""
+    s, ints = integral_forms(forms)
+    index = {e: j for j, e in enumerate(monomials_of_degree(forms[0].nvars, m))}
+    rows = [[0] * len(index) for _ in pairs]
+    for row, (i, mu) in zip(rows, pairs):
+        for expo, c in ints[i].items():
+            row[index[tuple(a + b for a, b in zip(expo, mu))]] = c
+    return s, rows
 
 
 class HomoForm:

@@ -9,7 +9,10 @@ is det(D) / det(D') where D' is the minor on the monomials divisible by
 x_i^d for two or more i (Cox, Little & O'Shea, *Using Algebraic
 Geometry*, ch. 3 §4).  For N = 1 the minor is empty and D is the
 Sylvester matrix, so the quotient degenerates to a single determinant.
-The normalization is Res(x0^d, ..., xN^d) = 1.
+The normalization is Res(x0^d, ..., xN^d) = 1.  Every integer row is a
+shift x^mu·sF_i of one integral model sF (`homopoly.shifted_rows`), so
+the quotient is divided by s^((N+1) d^N), and the certificate system is
+the transposed table of all the shifts, its solution multiplied by s.
 
 The minor D' can vanish while Res(F) does not.  Since
 Res(B·(F∘A)) = det(B)^(d^N) det(A)^(d^(N+1)) Res(F), integer changes of
@@ -24,7 +27,7 @@ import random
 from fractions import Fraction
 
 from .errors import DimensionMismatch, DomainError, InternalCheckError, NotAMorphism
-from .homopoly import HomoForm, PolyMap, monomials_of_degree
+from .homopoly import HomoForm, PolyMap, monomials_of_degree, shifted_rows
 from .linalg import bareiss_det, solve_preferring_early_columns
 from .pffield import LogMag, Place, abs_log
 
@@ -34,35 +37,26 @@ def macaulay_degree(d: int, N: int) -> int:
 
 
 class MacaulayMatrix:
-    """The square Macaulay matrix of a map at degree e, each form scaled
-    to integer coefficients by the lcm s_i of its denominators, so that
-    Res(pm) = det_full() / (det_minor() * scale) with scale the product
-    of the s_i^(d^N); `reduced[r]` marks rows/columns labeled by
+    """The square Macaulay matrix at degree e of the integral model sF,
+    s the lcm of all the coefficient denominators (`shifted_rows`), so
+    that Res(pm) = det_full() / (det_minor() * scale) with
+    scale = s^((N+1) d^N); `reduced[r]` marks rows/columns labeled by
     monomials divisible by a single x_i^d."""
 
     def __init__(self, pm: PolyMap):
-        d = pm.degree
-        n = pm.nvars
-        lcms = [math.lcm(*(c.denominator for c in f.coeffs.values())) for f in pm.forms]
-        self.scale = math.prod(lcms) ** d ** (n - 1)
+        d, n = pm.degree, pm.nvars
         self.e = macaulay_degree(d, n - 1)
         self.columns = monomials_of_degree(n, self.e)
-        col_index = {m: j for j, m in enumerate(self.columns)}
         self.reduced = []
-        rows = []
+        pairs = []
         for alpha in self.columns:
             big = [i for i in range(n) if alpha[i] >= d]
             if not big:
                 raise InternalCheckError("degree-e monomial with no x_i^d divisor")
-            pick = big[0]
-            mu = tuple(a - (d if i == pick else 0) for i, a in enumerate(alpha))
             self.reduced.append(len(big) == 1)
-            row = [0] * len(self.columns)
-            for expo, c in pm.forms[pick].coeffs.items():
-                tgt = tuple(a + b for a, b in zip(expo, mu))
-                row[col_index[tgt]] = c.numerator * (lcms[pick] // c.denominator)
-            rows.append(row)
-        self.rows = rows
+            pairs.append((big[0], tuple(a - d * (i == big[0]) for i, a in enumerate(alpha))))
+        s, self.rows = shifted_rows(pm.forms, self.e, pairs)
+        self.scale = s ** (n * d ** (n - 1))
 
     def det_full(self) -> int:
         return bareiss_det(self.rows)
@@ -148,28 +142,16 @@ def _cofactors(pm: PolyMap, phis: list[HomoForm]):
     """(mults, sols): for each phi of the common degree m, the coefficients
     of cofactors with phi = sum eta_i F_i (eta_0 first, each over the
     degree-(m-d) monomials `mults` in descending-lex order) supported on
-    the earliest columns; sols is None when some phi is not in (F)_m."""
+    the earliest columns; sols is None when some phi is not in (F)_m.
+    The columns x^mu·sF_i are those of x^mu·F_i times s, which keeps the
+    earliest independent ones, so s times the solution is the cofactors'."""
     n = pm.nvars
-    d = pm.degree
     m = phis[0].degree
-    row_monos = monomials_of_degree(n, m)
-    row_index = {mono: r for r, mono in enumerate(row_monos)}
-    mults = monomials_of_degree(n, m - d)
-    rows = [[Fraction(0)] * (n * len(mults)) for _ in row_monos]
-    col = 0
-    for i in range(n):
-        for mu in mults:
-            for expo, c in pm.forms[i].coeffs.items():
-                tgt = tuple(a + b for a, b in zip(expo, mu))
-                rows[row_index[tgt]][col] += c
-            col += 1
-    rhs = []
-    for phi in phis:
-        b = [Fraction(0)] * len(row_monos)
-        for expo, c in phi.coeffs.items():
-            b[row_index[expo]] = c
-        rhs.append(b)
-    return mults, solve_preferring_early_columns(rows, rhs)
+    mults = monomials_of_degree(n, m - pm.degree)
+    s, table = shifted_rows(pm.forms, m, [(i, mu) for i in range(n) for mu in mults])
+    rhs = [[phi.coeffs.get(mono, 0) for mono in monomials_of_degree(n, m)] for phi in phis]
+    sols = solve_preferring_early_columns(list(zip(*table)), rhs)
+    return mults, None if sols is None else [[s * x for x in z] for z in sols]
 
 
 def elimination_certificates(pm: PolyMap, phis: list[HomoForm]) -> list[list[HomoForm]]:
@@ -196,19 +178,10 @@ def elimination_certificates(pm: PolyMap, phis: list[HomoForm]) -> list[list[Hom
             raise NotAMorphism("not a morphism: Res(F) = 0")
         raise InternalCheckError("certificate system unsolvable despite Res != 0")
     out = []
-    for phi, z in zip(phis, sols):
-        etas = []
-        for i in range(n):
-            coeffs = {}
-            for j, mu in enumerate(mults):
-                c = z[i * len(mults) + j]
-                if c:
-                    coeffs[mu] = c
-            etas.append(HomoForm(n, m - d, coeffs))
-        check = HomoForm.zero(n, m)
-        for eta, f in zip(etas, pm.forms):
-            check = check + eta * f
-        if check != phi:
+    k = len(mults)
+    for phi, z in zip(phis, sols):  # HomoForm drops the zero coefficients
+        etas = [HomoForm(n, m - d, dict(zip(mults, z[i * k:(i + 1) * k]))) for i in range(n)]
+        if sum((eta * f for eta, f in zip(etas, pm.forms)), HomoForm.zero(n, m)) != phi:
             raise InternalCheckError("certificate failed exact re-expansion")
         out.append(etas)
     return out

@@ -114,13 +114,14 @@ def test_special_basis_on_plane_cubic():
     fam = special_basis(system, 3)
     assert len(fam) == 9
     # and the kept elements really are independent modulo the ideal
-    from greenfield.basis import _coeff_vector, _ideal_rows
+    from greenfield.basis import _coeff_vector
     from greenfield.homopoly import monomials_of_degree
     monos = monomials_of_degree(3, 3)
     index = {m: i for i, m in enumerate(monos)}
     tracker = IncrementalRank(len(monos))
-    for row in _ideal_rows(system, 3):
-        tracker.add(_coeff_vector(row.coeffs, index))
+    g = system.hypersurface
+    for mu in monomials_of_degree(3, 3 - g.degree):  # the ideal's rows, in the QQ ring
+        tracker.add(_coeff_vector((HomoForm.monomial(3, mu) * g).coeffs, index))
     for el in fam.elements:
         assert tracker.add(_coeff_vector(el.expanded.coeffs, index)) is True
 
@@ -318,8 +319,11 @@ def _reference_basis(system, n):
     nvars = system.map.nvars
     monos = monomials_of_degree(nvars, n)
     tracker = _FractionRank()
-    for row in basis_mod._ideal_rows(system, n):
-        tracker.add([row.coeffs.get(m, 0) for m in monos])
+    g = system.hypersurface
+    if g is not None:  # the ideal's rows x^mu·g, multiplied in the QQ ring
+        for mu in monomials_of_degree(nvars, n - g.degree):
+            row = HomoForm.monomial(nvars, mu) * g
+            tracker.add([row.coeffs.get(m, 0) for m in monos])
     kept, relaxed = [], False
     for el, primary in spanning_family(system, n):
         form = HomoForm.monomial(nvars, el.eta)

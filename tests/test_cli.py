@@ -197,6 +197,33 @@ def test_lehmer_command(capsys, tmp_path):
     assert csv_path.exists()
 
 
+def test_fekete_checks_the_witness_against_the_envelope(capsys, monkeypatch):
+    # a witness above its envelope is a failed hard check, as in adelic-report
+    monkeypatch.setattr(cli, "hadamard_envelope", lambda *args: 0.0)
+    assert run(["fekete", HALF, "--n", "4", "--budget", "100"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: witness ")
+    assert captured.err.endswith(" exceeds envelope 0.0 at inf (n=4)\n")
+
+
+def test_empty_hypersurface_text_is_a_parse_error(capsys, tmp_path):
+    # "" is a form text to parse, not the absence of a hypersurface
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"N": 1, "d": 2, "forms": ["x0^2", "x1^2"],
+                                "hypersurface": ""}))
+    assert run(["resultant", str(path)]) == 2
+    assert capsys.readouterr().err == "error: empty form text\n"
+
+
+def test_system_file_must_hold_an_object(capsys, tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text(json.dumps([{"N": 1, "d": 2, "forms": ["x0^2", "x1^2"]}]))
+    assert run(["resultant", str(path)]) == 2
+    assert capsys.readouterr().err == \
+        f"error: {path}: a system file must hold a JSON object, not a list\n"
+
+
 def test_exit_codes(capsys, tmp_path, power_cfg, half_cfg):
     assert run(["resultant", str(tmp_path / "missing.json")]) == 2
     bad = tmp_path / "bad.json"
@@ -222,7 +249,8 @@ def test_exit_codes(capsys, tmp_path, power_cfg, half_cfg):
                  ["height", power_cfg, "--point", "3/2,1"],
                  ["green", half_cfg, "--n", "2", "--points", "0,1;1,1;2,1"],
                  ["green", half_cfg, "--n", "2", "--points", "0,1;1,1;2,1",
-                  "--place", "p=2", "--witness"]):
+                  "--place", "p=2", "--witness"],
+                 ["lehmer-scan", "--curve", "0,-2", "--point", "3,5", "--depths", "0"]):
         capsys.readouterr()
         assert run(argv + ["--tol", "1e-300"]) == 1
         err = capsys.readouterr().err

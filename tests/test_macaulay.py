@@ -14,7 +14,7 @@ from greenfield.errors import DomainError, InternalCheckError, NotAMorphism
 from greenfield.homopoly import (HomoForm, PolyMap, evaluate, form_str,
                                  monomials_of_degree, parse_form, parse_map,
                                  ProjPoint)
-from greenfield.linalg import bareiss_det
+from greenfield.linalg import bareiss_det, solve_preferring_early_columns
 from greenfield.macaulay import (MacaulayMatrix, elimination_certificates,
                                  macaulay_degree, macaulay_resultant,
                                  r_normalized)
@@ -75,15 +75,23 @@ def test_sylvester_oracle_random_binary_forms():
     while checked < 25:
         d = rng.choice([2, 3, 4])
         pm = rand_map(rng, 2, d)
-        mine = macaulay_resultant(pm)
+        # the same forms over different denominators: one s for both forms
+        # pins the scale s^((N+1) d^N)
+        dens = rng.sample(range(1, 8), 2)
+        over = PolyMap([HomoForm(2, d, {e: c / (den * rng.choice([1, 1, 2, 3]))
+                                        for e, c in f.coeffs.items()})
+                        for f, den in zip(pm.forms, dens)])
 
         def dehom(f):
-            return sum(Rational(c) * z ** e[0] for e, c in f.coeffs.items())
+            return sum(Rational(c.numerator, c.denominator) * z ** e[0]
+                       for e, c in f.coeffs.items())
 
-        p0, p1 = Poly(dehom(pm.forms[0]), z), Poly(dehom(pm.forms[1]), z)
-        if p0.degree() != d or p1.degree() != d:
+        if any(not f.coeffs.get((d, 0)) for f in pm.forms):
             continue  # sympy's convention differs when the degree drops
-        assert Rational(mine.numerator, mine.denominator) == resultant(p0, p1)
+        for q in (pm, over):
+            mine = macaulay_resultant(q)
+            expect = resultant(Poly(dehom(q.forms[0]), z), Poly(dehom(q.forms[1]), z))
+            assert Rational(mine.numerator, mine.denominator) == expect
         checked += 1
 
 
@@ -303,3 +311,49 @@ def test_chebyshev_certificate_verified_by_substitution():
         rhs = sum(evaluate(e, pt) * evaluate(f, pt)
                   for e, f in zip(etas, cheb.forms))
         assert lhs == rhs
+
+
+def _fraction_cofactors(pm, phis):
+    """The cofactor solve on the Fraction table of the x^mu·F_i, a copy of
+    the construction before the integral model sF."""
+    n, d, m = pm.nvars, pm.degree, phis[0].degree
+    row_monos = monomials_of_degree(n, m)
+    row_index = {mono: r for r, mono in enumerate(row_monos)}
+    mults = monomials_of_degree(n, m - d)
+    rows = [[Fraction(0)] * (n * len(mults)) for _ in row_monos]
+    col = 0
+    for i in range(n):
+        for mu in mults:
+            for expo, c in pm.forms[i].coeffs.items():
+                rows[row_index[tuple(a + b for a, b in zip(expo, mu))]][col] += c
+            col += 1
+    rhs = [[phi.coeffs.get(mono, Fraction(0)) for mono in row_monos] for phi in phis]
+    return mults, solve_preferring_early_columns(rows, rhs)
+
+
+def _denominated_map(rng, nvars, d):
+    """A random map whose forms have different coefficient denominators."""
+    pm = rand_map(rng, nvars, d)
+    return PolyMap([HomoForm(nvars, d, {e: c / rng.choice([1, den, 2 * den])
+                                        for e, c in f.coeffs.items()})
+                    for f, den in zip(pm.forms, rng.sample(range(1, 8), nvars))])
+
+
+@pytest.mark.parametrize("nvars, degrees", [(2, (2, 3, 4)), (3, (2, 3))])
+def test_cofactors_match_the_fraction_table(nvars, degrees):
+    # scaling every column by s keeps the earliest independent columns, so
+    # s times the integer solution is the Fraction one, entry for entry
+    rng = random.Random(43 + nvars)
+    maps = [_denominated_map(rng, nvars, rng.choice(degrees)) for _ in range(12)]
+    # a common zero [2 : 1 (: 0)]: no x_i^m lies in (F)_m, so no solution
+    maps.append(parse_map(["x0^2 - 4*x1^2", "x0*x1 - 2*x1^2"] if nvars == 2 else
+                          ["x0^2 - 4*x1^2", "1/3*x0*x1 - 2/3*x1^2", "x2^2"]))
+    for pm in maps:
+        n, e = pm.nvars, macaulay_degree(pm.degree, pm.N)
+        for m in (e, e + 1):
+            phis = [HomoForm.monomial(n, [m * (j == i) for j in range(n)]) for i in range(n)]
+            phis.append(sum(phis[1:], phis[0]).scale(Fraction(5, 6)))
+            mults, sols = macaulay._cofactors(pm, phis)
+            assert (mults, sols) == _fraction_cofactors(pm, phis)
+            assert (sols is None) == (macaulay_resultant(pm) == 0)
+            assert all(isinstance(x, Fraction) for z in sols or [] for x in z)

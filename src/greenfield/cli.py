@@ -11,6 +11,7 @@ internal checks, 2 parse errors.
 
 import argparse
 import csv
+import functools
 import json
 import math
 import re
@@ -150,13 +151,16 @@ def _parse_point(text: str) -> ProjPoint:
 
 
 def _parse_int_list(text: str, name: str) -> list[int]:
-    """A nonempty comma-separated list of integers; empty items are skipped."""
+    """A nonempty comma-separated list of distinct integers; empty items are skipped."""
     try:
         out = [int(t) for t in text.split(",") if t.strip()]
     except ValueError as exc:
         raise errors.InputError(f"bad {name} list {text!r}: {exc}")
     if not out:
         raise errors.InputError(f"empty {name} list {text!r}")
+    repeated = next((v for i, v in enumerate(out) if v in out[:i]), None)
+    if repeated is not None:
+        raise errors.InputError(f"{name} {repeated} repeated in {text!r}")
     return out
 
 
@@ -378,6 +382,7 @@ def _cmd_lehmer(args):
     return table, table["rows"]
 
 
+@functools.cache  # argparse keeps no state between parse_args calls
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="greenfield",

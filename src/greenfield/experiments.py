@@ -118,8 +118,26 @@ class LattesSystem:
         return ProjPoint.exact([pt[0], 1])
 
     def orbit(self, bound: int) -> list[ProjPoint]:
-        """x(kP) for k = 1..bound; rejects torsion points."""
-        pts = [self.x_of_multiple(k) for k in range(1, bound + 1)]
+        """x(kP) for k = 1..bound on x alone; rejects torsion points.  With
+        x_k = x(kP): x_2j = f(x_j) by the duplication map, and x_(2j+1) =
+        [2(x_j + x_(j+1))(a + x_j x_(j+1)) + 4b] / (x_j - x_(j+1))^2 - x_1
+        by differential addition (Brier & Joye 2002); a zero denominator
+        means kP = O."""
+        a, b = self.curve.a, self.curve.b
+        xs = [None, self.base_point[0]]
+        for k in range(2, bound + 1):
+            p, q = xs[k // 2].as_integer_ratio()
+            if k % 2 == 0:
+                num, den = self.system.map.image((p, q))
+            else:  # the formula above over the common denominator (qs)^2
+                r, s = xs[k // 2 + 1].as_integer_ratio()
+                num = 2 * (p * s + r * q) * (a * q * s + p * r) + 4 * b * (q * s) ** 2
+                den = (p * s - r * q) ** 2
+            if den == 0:
+                raise PreconditionError(f"{k}·P is the identity: torsion base point")
+            x = Fraction(num, den)
+            xs.append(x - xs[1] if k % 2 else x)
+        pts = [ProjPoint.exact([x, 1]) for x in xs[1:bound + 1]]
         pair = _first_repeat(pts)
         if pair is not None:
             raise PreconditionError(

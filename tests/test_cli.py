@@ -475,6 +475,34 @@ def test_empty_integer_lists_are_parse_errors(capsys, half_cfg):
             assert err == f"error: empty {name} list {value!r}\n"
 
 
+def test_repeated_integer_list_entries_are_parse_errors(capsys, half_cfg):
+    for argv, message in (
+            (["adelic-report", half_cfg, "--n", "4,8,4", "--budget", "10"],
+             "degree 4 repeated in '4,8,4'"),
+            (["lehmer-scan", "--curve", "0,-2", "--point", "3,5", "--depths", "1,1"],
+             "depth 1 repeated in '1,1'")):
+        capsys.readouterr()
+        assert run(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+
+def test_runs_sharing_the_parser_share_no_state(capsys, tmp_path):
+    assert cli.build_parser() is cli.build_parser()
+    argv = ["lehmer-scan", "--curve", "0,-2", "--point", "3,5", "--depths", "0"]
+    path = tmp_path / "scan.json"
+    capsys.readouterr()
+    assert run(argv + ["--out", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    code, out = run_json(capsys, argv)
+    assert code == 0
+    assert out == path.read_text()
+    assert run(["lehmer-scan", "--curve", "0,-2"]) == 2  # --point is required
+    assert "--point" in capsys.readouterr().err
+    assert run_json(capsys, argv) == (0, out)
+
+
 def test_torsion_input_rejected_with_code_1(capsys):
     code = run(["multiples", "--curve", "0,1", "--point", "2,3", "--n", "2"])
     assert code == 1

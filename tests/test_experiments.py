@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from sympy import Poly, Symbol, factor_list
 
@@ -93,11 +93,58 @@ def test_lattes_system_validation():
 
 def test_orbit_rejects_torsion():
     L = LattesSystem(EllipticCurve(Fraction(0), Fraction(1)), (Fraction(2), Fraction(3)))
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="6·P is the identity"):
         L.orbit(6)
     # (2, 3) has order 6: x(P) = x(5P) and x(2P) = x(4P)
     with pytest.raises(PreconditionError, match="orbit points 1 and 5 coincide"):
         L.orbit(5)
+
+
+def _group_law_orbit(lattes, bound):
+    """`orbit(bound)`'s lifts or error text, from the group law: each x(kP)
+    by `x_of_multiple`, then the first repeated pair in pairwise-scan order."""
+    try:
+        lifts = [lattes.x_of_multiple(k).lift for k in range(1, bound + 1)]
+    except PreconditionError as exc:
+        return str(exc)
+    pairs = [(i, j) for j in range(bound) for i in range(j) if lifts[i] == lifts[j]]
+    if pairs:
+        i, j = min(pairs)
+        return f"orbit points {i + 1} and {j + 1} coincide: torsion base point"
+    return lifts
+
+
+def _x_only_orbit(lattes, bound):
+    try:
+        return [pt.lift for pt in lattes.orbit(bound)]
+    except PreconditionError as exc:
+        return str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(xn=st.integers(-9, 9), xd=st.integers(1, 5), yn=st.integers(1, 9),
+       yd=st.integers(1, 5), an=st.integers(-9, 9), ad=st.integers(1, 5),
+       bound=st.integers(0, 30))
+def test_x_only_orbit_matches_the_group_law(xn, xd, yn, yd, an, ad, bound):
+    # drawn like acceptance criterion 09's group-law oracle: b puts (x0, y0) on the curve
+    x0, y0, a = Fraction(xn, xd), Fraction(yn, yd), Fraction(an, ad)
+    b = y0 * y0 - x0**3 - a * x0
+    assume(4 * a**3 + 27 * b**2 != 0)
+    L = LattesSystem(EllipticCurve(a, b), (x0, y0))
+    assert _x_only_orbit(L, bound) == _group_law_orbit(L, bound)
+
+
+@pytest.mark.parametrize("a, b, point, order", [
+    (0, 1, (2, 3), 6), (0, 1, (0, 1), 3), (0, 1, (-1, 0), 2), (-43, 166, (3, 8), 7),
+    (-1, 1, (0, 1), None),  # x(P) = 0 on a point of infinite order
+])
+def test_x_only_orbit_on_torsion_and_zero_points(a, b, point, order):
+    L = LattesSystem(EllipticCurve(a, b), point)
+    for bound in range(0, 2 * (order or 15) + 1):
+        assert _x_only_orbit(L, bound) == _group_law_orbit(L, bound), bound
+    if order is not None:
+        with pytest.raises(PreconditionError, match=f"^{order}·P is the identity"):
+            L.orbit(order)
 
 
 def test_multiples_search_examples(mordell_lattes):

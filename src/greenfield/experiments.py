@@ -1,7 +1,8 @@
 """Experiment drivers: the adelic envelope/witness report and the
 transfinite-diameter trend, which share one (n, place) row loop, the
-greedy multiples search along a translation orbit, and the
-degree-vs-height Lehmer scan on Lattes systems.
+greedy multiples search along a translation orbit, and the degree-vs-
+height Lehmer scan on Lattes systems, whose preimage polynomials are
+proved irreducible from degree patterns mod p before Zassenhaus runs.
 
 Reports pair certified lower bounds (witnesses from explicit admissible
 tuples) with certified upper bounds (Hadamard envelopes); constants
@@ -16,6 +17,8 @@ from itertools import count, islice, product
 
 from sympy.polys.domains import ZZ
 from sympy.polys.factortools import dup_factor_list
+from sympy.polys.galoistools import (gf_add, gf_ddf_zassenhaus, gf_factor_sqf, gf_from_int_poly,
+                                     gf_monic, gf_mul, gf_mul_ground, gf_sqf_p)
 
 from .basis import BasisFamily, special_basis
 from .dynsys import DynSystem
@@ -336,25 +339,70 @@ def multiples_search(system: DynSystem, orbit: list[ProjPoint], n: int) -> Multi
 
 
 MAX_LEHMER_DEPTH = 3
+# The 30 odd primes below 128, tried before a polynomial is left to Zassenhaus.
+CERTIFY_PRIMES = [p for p in range(3, 128, 2) if all(p % q for q in range(3, p, 2))]
 
 
-def _preimage_factors(lattes: LattesSystem, depth: int):
+def _dehomogenized(form: HomoForm) -> list:
+    """form(z, 1), its coefficients listed from the highest degree down."""
+    return [form.coeffs.get((i, form.degree - i), 0) for i in range(form.degree, -1, -1)]
+
+
+def _certified_irreducible(lattes: LattesSystem, g_prev, g) -> bool:
+    """Whether degree patterns modulo CERTIFY_PRIMES prove g irreducible
+    over Q (Musser, J. ACM 25, 1978), given g_prev irreducible and g =
+    c·g_prev^hom(A, B), (A, B) = F(z, 1).  Galois permutes the fibres of
+    z -> A/B over the roots of g_prev transitively (Capelli), so a factor
+    of g has k' roots in every fibre; mod p, k'·e_j is then a sum of the
+    degrees of the factors of phi_j^hom(A, B) for each factor phi_j of
+    g_prev, of degree e_j.  Used primes: F has good reduction, both leading
+    coefficients are units, both polynomials squarefree.  False: undecided."""
+    A, B = (_dehomogenized(f) for f in lattes.system.map.forms)
+    res = lattes.system.resultant
+    bad = res.numerator * res.denominator * g_prev[0] * g[0] * integral(A + B)[1]
+    ks = {1, 2, 3}  # the k' a proper factor could have
+    for p in CERTIFY_PRIMES:
+        gp, gk = gf_from_int_poly(g_prev, p), gf_from_int_poly(g, p)
+        if bad % p == 0 or not (gf_sqf_p(gp, p, ZZ) and gf_sqf_p(gk, p, ZZ)):
+            continue
+        a, b = ([c.numerator * pow(c.denominator, -1, p) % p for c in f] for f in (A, B))
+        total = [1]
+        for phi in gf_factor_sqf(gp, p, ZZ)[1]:
+            fibres, b_pow = [1], [1]  # phi^hom(a, b) by Horner's rule
+            for c in phi[1:]:
+                b_pow = gf_mul(b_pow, b, p, ZZ)
+                fibres = gf_add(gf_mul(fibres, a, p, ZZ), gf_mul_ground(b_pow, c, p, ZZ), p, ZZ)
+            total = gf_mul(total, fibres, p, ZZ)
+            sums = 1  # bit s set iff s is a sum of some factors' degrees
+            for factor, d in gf_ddf_zassenhaus(fibres, p, ZZ):
+                for _ in range((len(factor) - 1) // d):
+                    sums |= sums << d
+            ks = {k for k in ks if sums >> (k * (len(phi) - 1)) & 1}
+        if total != gf_monic(gk, p, ZZ)[1]:
+            raise InternalCheckError(f"preimage polynomial is not g_prev^hom(A, B) mod {p}")
+        if not ks:
+            return True
+    return False
+
+
+def _preimage_factors(lattes: LattesSystem, depth: int, parent):
     """Irreducible factors over Q of the depth-k preimage equation
-    f^k(z) = x(P), as (coefficients, multiplicity) pairs. Each factor is
-    a primitive integer polynomial with a positive leading coefficient,
+    f^k(z) = x(P), as (coefficients, multiplicity) pairs, from `parent`,
+    this list at depth k - 1: an irreducible parent lets
+    `_certified_irreducible` skip sympy's Zassenhaus. Each factor is a
+    primitive integer polynomial with a positive leading coefficient,
     its coefficients listed from the highest degree down."""
     x0 = lattes.base_point[0]
-    p0, q0 = x0.numerator, x0.denominator
     fk = lattes.system.iterate(depth)
-    form = fk.forms[0].scale(q0) - fk.forms[1].scale(p0)
-    deg = form.degree
-    poly = [Fraction(0)] * (deg + 1)
-    for (i, _j), cval in form.coeffs.items():
-        poly[deg - i] = cval
+    poly = _dehomogenized(fk.forms[0].scale(x0.denominator) - fk.forms[1].scale(x0.numerator))
     if poly[0] == 0:
         raise InternalCheckError("preimage polynomial dropped degree")
-    _const, factors = dup_factor_list([ZZ(c) for c in integral(poly)[0]], ZZ)
-    return factors
+    g = integral(poly)[0]  # poly[0] = den x(P) > 0, as F^k's first form is monic in z
+    content = math.gcd(*g)
+    g = [c // content for c in g]
+    if len(parent) == 1 and parent[0][1] == 1 and _certified_irreducible(lattes, parent[0][0], g):
+        return [(g, 1)]
+    return dup_factor_list(g, ZZ)[1]
 
 
 def _poly_str(coeffs) -> str:
@@ -389,13 +437,15 @@ def lehmer_scan(lattes: LattesSystem, depth_list, tol: float = 1e-9) -> dict:
             f"base point height {h0.total()} not certifiably above tol={tol}: torsion?"
         )
 
+    factor_lists = [[(integral([1, -lattes.base_point[0]])[0], 1)]]  # depth k's at index k
+    for depth in range(1, max(depth_list, default=0) + 1):
+        factor_lists.append(_preimage_factors(lattes, depth, factor_lists[-1]))
     rows = []
     for depth in depth_list:
         scale = 4**depth
         h = h0.total() / scale
         factors = ([("z - x(P)", 1, 1)] if depth == 0 else
-                   [(_poly_str(poly), len(poly) - 1, mult)
-                    for poly, mult in _preimage_factors(lattes, depth)])
+                   [(_poly_str(poly), len(poly) - 1, mult) for poly, mult in factor_lists[depth]])
         for factor, D, mult in factors:
             rows.append({
                 "depth": depth, "degree": D, "count": D, "multiplicity": mult,

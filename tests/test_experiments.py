@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from sympy import Poly, Symbol, factor_list
+from sympy.polys.galoistools import gf_ddf_zassenhaus, gf_sqf_p
 
 from greenfield.basis import BasisFamily, monomial_basis, section_dim, special_basis
 from greenfield.dynsys import DynSystem, escape_rate
@@ -455,21 +456,96 @@ def _sympy_preimage_factors(lattes, depth):
     return [(str(Poly(f, Z, domain="QQ").as_expr()), mult) for f, mult in factors]
 
 
-@settings(max_examples=25)
+def _factor_lists(lattes, max_depth):
+    """Depth 1..max_depth factor lists, each computed from the one before
+    it as `lehmer_scan` does; index k holds depth k."""
+    x0 = lattes.base_point[0]
+    lists = [[([x0.denominator, -x0.numerator], 1)]]
+    for depth in range(1, max_depth + 1):
+        lists.append(experiments._preimage_factors(lattes, depth, lists[-1]))
+    return lists
+
+
+@settings(max_examples=40)
 @given(st.integers(-4, 4), st.integers(-6, 6), st.sampled_from([1, 4]),
-       st.integers(-6, 6), st.sampled_from([1, 8]))
-@example(0, 3, 1, 5, 1)  # y^2 = x^3 - 2, P = (3, 5): the golden curve
-def test_preimage_factors_match_sympy_over_qq(a, x_num, x_den, y_num, y_den):
+       st.integers(-6, 6), st.sampled_from([1, 8]), st.booleans())
+@example(0, 3, 1, 5, 1, False)  # y^2 = x^3 - 2, P = (3, 5): the golden curve
+@example(0, 2, 1, 2, 1, True)  # y^2 = x^3 - 2x, P = (2, 2): j = 1728
+def test_preimage_factors_match_sympy_over_qq(a, x_num, x_den, y_num, y_den, b_zero):
+    # b_zero draws y^2 = x^3 + ax through the point; a = 0 is drawn directly
     x0, y0 = Fraction(x_num, x_den), Fraction(y_num, y_den)
+    if b_zero and x0 != 0:
+        a = (y0**2 - x0**3) / x0
     b = y0**2 - x0**3 - a * x0
     try:
         lattes = LattesSystem(EllipticCurve(Fraction(a), b), (x0, y0))
     except DomainError:  # a singular curve
         return
+    lists = _factor_lists(lattes, 2)
     for depth in (1, 2):
-        ours = [(experiments._poly_str(f), mult)
-                for f, mult in experiments._preimage_factors(lattes, depth)]
+        ours = [(experiments._poly_str(f), mult) for f, mult in lists[depth]]
         assert ours == _sympy_preimage_factors(lattes, depth)
+
+
+@pytest.mark.parametrize("a, point, degrees, certified", [
+    (-36, (12, 36), ([4], [8, 8]), None),  # g_2 splits, so no certificate applies
+    (Fraction(-81, 8), (-2, Fraction(7, 2)), ([4], [4, 4, 8]), None),
+    (-2, (2, 2), ([4], [16]), False),  # irreducible, but the patterns never decide
+    (0, (3, 5), ([4], [16]), True),  # the golden curve y^2 = x^3 - 2
+    (0, (Fraction(129, 100), Fraction(-383, 1000)), ([1, 3], [4, 12]), None),  # 2·(3, 5)
+])
+def test_degree_pattern_certificate_and_its_fallback(a, point, degrees, certified):
+    x0, y0 = (Fraction(c) for c in point)
+    lattes = LattesSystem(EllipticCurve(Fraction(a), y0**2 - x0**3 - a * x0), (x0, y0))
+    lists = _factor_lists(lattes, 2)
+    for depth in (1, 2):
+        assert sorted(len(f) - 1 for f, _mult in lists[depth]) == degrees[depth - 1]
+        assert [(experiments._poly_str(f), mult) for f, mult in lists[depth]] == \
+            _sympy_preimage_factors(lattes, depth)
+    if certified is not None:
+        g2 = lists[2][0][0]
+        assert experiments._certified_irreducible(lattes, lists[1][0][0], g2) is certified
+
+
+def test_degree_patterns_read_only_squarefree_reductions(mordell_lattes, monkeypatch):
+    # y(P) = 5 makes g_1 = z^4 - 12z^3 + 16z + 24 a non-squarefree polynomial
+    # mod 5, where F has good reduction; distinct-degree factorization
+    # misreads the degrees of a polynomial with repeated factors
+    primes = []
+
+    def ddf(f, p, K):
+        assert gf_sqf_p(f, p, K)
+        primes.append(p)
+        return gf_ddf_zassenhaus(f, p, K)
+
+    monkeypatch.setattr(experiments, "gf_ddf_zassenhaus", ddf)
+    assert [len(f) - 1 for f, _mult in _factor_lists(mordell_lattes, 2)[2]] == [16]
+    assert primes and 5 not in primes
+
+
+def test_lehmer_scan_depths_without_their_predecessor(mordell_lattes, monkeypatch):
+    # each depth is factored once per scan, from the depth before it, and
+    # the rows of a depth do not depend on which other depths are listed
+    calls = []
+    factor = experiments._preimage_factors
+
+    def counted(lattes, depth, parent):
+        calls.append(depth)
+        return factor(lattes, depth, parent)
+
+    monkeypatch.setattr(experiments, "_preimage_factors", counted)
+    full = lehmer_scan(mordell_lattes, [0, 1, 2], tol=1e-9)
+    assert calls == [1, 2]
+    for depths in ([2], [1, 2], [2, 1]):
+        calls.clear()
+        table = lehmer_scan(mordell_lattes, depths, tol=1e-9)
+        assert calls == [1, 2]
+        for d in depths:
+            assert [r for r in table["rows"] if r["depth"] == d] == \
+                [r for r in full["rows"] if r["depth"] == d]
+    calls.clear()
+    lehmer_scan(mordell_lattes, [0], tol=1e-9)
+    assert calls == []
 
 
 def test_lehmer_scan_rejects_torsion():

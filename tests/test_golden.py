@@ -53,6 +53,7 @@ CASES = {
     "multiples": (["multiples", *CURVE, "--n", "4"], 0),
     "multiples_n12": (["multiples", *BAND_CURVE, "--n", "12"], 0),
     "lehmer_scan": (["lehmer-scan", *CURVE, "--depths", "0,1,2", "--csv", "{csv}"], 0),
+    "lehmer_scan_d3": (["lehmer-scan", *CURVE, "--depths", "0,1,2,3", "--csv", "{csv}"], 0),
 }
 
 

@@ -307,9 +307,9 @@ def escape_rate(system: DynSystem, place: Place, lift: ProjPoint, tol: float) ->
 
 
 def membership_of(rate: LogMag, tol: float) -> Membership:
-    """Classify an escape rate by its sign, with a band of width tol
+    """Classify an escape rate by its sign, with a band max(tol, arch_err)
     around 0 left UNDETERMINED unless the rate is an exact ledger."""
-    band = 0.0 if rate.is_exact else tol  # an exact ledger has a sharp sign
+    band = 0.0 if rate.is_exact else max(tol, rate.arch_err)  # an exact ledger has a sharp sign
     h = rate.total()
     if h > band:
         return Membership.OUTSIDE

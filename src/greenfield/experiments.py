@@ -1,8 +1,9 @@
 """Experiment drivers: the adelic envelope/witness report and the
 transfinite-diameter trend, which share one (n, place) row loop, the
 greedy multiples search along a translation orbit, and the degree-vs-
-height Lehmer scan on Lattes systems, whose preimage polynomials are
-proved irreducible from degree patterns mod p before Zassenhaus runs.
+height Lehmer scan on Lattes systems, whose preimage polynomial at each
+depth is its parent's transform under sF(z, 1), proved irreducible from
+degree patterns mod p before Zassenhaus runs.
 
 Reports pair certified lower bounds (witnesses from explicit admissible
 tuples) with certified upper bounds (Hadamard envelopes); constants
@@ -15,18 +16,20 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import count, islice, product
 
+from sympy.polys.densearith import dmp_expand, dup_pow
+from sympy.polys.densebasic import dup_from_raw_dict
+from sympy.polys.densetools import dup_primitive, dup_transform
 from sympy.polys.domains import ZZ
 from sympy.polys.factortools import dup_factor_list
-from sympy.polys.galoistools import (gf_add, gf_ddf_zassenhaus, gf_factor_sqf, gf_from_int_poly,
-                                     gf_monic, gf_mul, gf_mul_ground, gf_sqf_p)
+from sympy.polys.galoistools import (gf_ddf_zassenhaus, gf_factor_sqf, gf_from_int_poly, gf_monic,
+                                     gf_mul, gf_sqf_p)
 
 from .basis import BasisFamily, special_basis
 from .dynsys import DynSystem
 from .errors import DomainError, InternalCheckError, PreconditionError, ResourceLimit
 from .green import dbn_witness, fekete_search, hadamard_envelope, julia_radius_log
 from .heights import canonical_height, contributing_places
-from .homopoly import HomoForm, PolyMap, ProjPoint
-from .linalg import integral
+from .homopoly import HomoForm, PolyMap, ProjPoint, integral_forms
 from .pffield import LogMag, MINUS_INFINITY, Place
 
 
@@ -343,37 +346,36 @@ MAX_LEHMER_DEPTH = 3
 CERTIFY_PRIMES = [p for p in range(3, 128, 2) if all(p % q for q in range(3, p, 2))]
 
 
-def _dehomogenized(form: HomoForm) -> list:
-    """form(z, 1), its coefficients listed from the highest degree down."""
-    return [form.coeffs.get((i, form.degree - i), 0) for i in range(form.degree, -1, -1)]
+def _integral_xmap(lattes: LattesSystem) -> tuple:
+    """(s, sA, sB): sF(z, 1) for the integral model sF (`integral_forms`)."""
+    s, forms = integral_forms(lattes.system.map.forms)
+    return s, *(dup_from_raw_dict({e[0]: c for e, c in f.items()}, ZZ) for f in forms)
 
 
 def _certified_irreducible(lattes: LattesSystem, g_prev, g) -> bool:
     """Whether degree patterns modulo CERTIFY_PRIMES prove g irreducible
-    over Q (Musser, J. ACM 25, 1978), given g_prev irreducible and g =
-    c·g_prev^hom(A, B), (A, B) = F(z, 1).  Galois permutes the fibres of
+    over Q (Musser, J. ACM 25, 1978), given g_prev irreducible and g the
+    primitive part of g_prev^hom(sA, sB).  Galois permutes the fibres of
     z -> A/B over the roots of g_prev transitively (Capelli), so a factor
     of g has k' roots in every fibre; mod p, k'·e_j is then a sum of the
     degrees of the factors of phi_j^hom(A, B) for each factor phi_j of
     g_prev, of degree e_j.  Used primes: F has good reduction, both leading
     coefficients are units, both polynomials squarefree.  False: undecided."""
-    A, B = (_dehomogenized(f) for f in lattes.system.map.forms)
+    s, sA, sB = _integral_xmap(lattes)
     res = lattes.system.resultant
-    bad = res.numerator * res.denominator * g_prev[0] * g[0] * integral(A + B)[1]
+    bad = res.numerator * res.denominator * g_prev[0] * g[0] * s
     ks = {1, 2, 3}  # the k' a proper factor could have
     for p in CERTIFY_PRIMES:
         gp, gk = gf_from_int_poly(g_prev, p), gf_from_int_poly(g, p)
         if bad % p == 0 or not (gf_sqf_p(gp, p, ZZ) and gf_sqf_p(gk, p, ZZ)):
             continue
-        a, b = ([c.numerator * pow(c.denominator, -1, p) % p for c in f] for f in (A, B))
+        inv = pow(s, -1, p)
+        a, b = ([c * inv % p for c in f] for f in (sA, sB))
         total = [1]
         for phi in gf_factor_sqf(gp, p, ZZ)[1]:
-            fibres, b_pow = [1], [1]  # phi^hom(a, b) by Horner's rule
-            for c in phi[1:]:
-                b_pow = gf_mul(b_pow, b, p, ZZ)
-                fibres = gf_add(gf_mul(fibres, a, p, ZZ), gf_mul_ground(b_pow, c, p, ZZ), p, ZZ)
+            fibres = gf_from_int_poly(dup_transform(phi, a, b, ZZ), p)
             total = gf_mul(total, fibres, p, ZZ)
-            sums = 1  # bit s set iff s is a sum of some factors' degrees
+            sums = 1  # bit t set iff t is a sum of some factors' degrees
             for factor, d in gf_ddf_zassenhaus(fibres, p, ZZ):
                 for _ in range((len(factor) - 1) // d):
                     sums |= sums << d
@@ -387,19 +389,16 @@ def _certified_irreducible(lattes: LattesSystem, g_prev, g) -> bool:
 
 def _preimage_factors(lattes: LattesSystem, depth: int, parent):
     """Irreducible factors over Q of the depth-k preimage equation
-    f^k(z) = x(P), as (coefficients, multiplicity) pairs, from `parent`,
-    this list at depth k - 1: an irreducible parent lets
-    `_certified_irreducible` skip sympy's Zassenhaus. Each factor is a
-    primitive integer polynomial with a positive leading coefficient,
-    its coefficients listed from the highest degree down."""
-    x0 = lattes.base_point[0]
-    fk = lattes.system.iterate(depth)
-    poly = _dehomogenized(fk.forms[0].scale(x0.denominator) - fk.forms[1].scale(x0.numerator))
-    if poly[0] == 0:
-        raise InternalCheckError("preimage polynomial dropped degree")
-    g = integral(poly)[0]  # poly[0] = den x(P) > 0, as F^k's first form is monic in z
-    content = math.gcd(*g)
-    g = [c // content for c in g]
+    f^k(z) = x(P), as (coefficients, multiplicity) pairs: primitive integer
+    polynomials with positive leading coefficients, highest degree first.
+    As F^k = F^(k-1)∘F, g_k is the primitive part of g_(k-1)^hom(sA, sB),
+    g_(k-1) the product of `parent`'s factors (depth k - 1); an irreducible
+    parent lets `_certified_irreducible` skip sympy's Zassenhaus."""
+    _s, sA, sB = _integral_xmap(lattes)
+    g_prev = dmp_expand([dup_pow(f, mult, ZZ) for f, mult in parent], 0, ZZ)
+    g = dup_primitive(dup_transform(g_prev, sA, sB, ZZ), ZZ)[1]  # lc: s^n·lc(g_prev) > 0
+    if len(g) != 4**depth + 1:
+        raise InternalCheckError(f"preimage polynomial has degree {len(g) - 1}, not 4^{depth}")
     if len(parent) == 1 and parent[0][1] == 1 and _certified_irreducible(lattes, parent[0][0], g):
         return [(g, 1)]
     return dup_factor_list(g, ZZ)[1]
@@ -430,14 +429,14 @@ def lehmer_scan(lattes: LattesSystem, depth_list, tol: float = 1e-9) -> dict:
     for depth in depth_list:
         if depth < 0 or depth > MAX_LEHMER_DEPTH:
             raise DomainError(f"depth {depth} outside [0, {MAX_LEHMER_DEPTH}]")
-    h0 = sum(canonical_height(lattes.system, ProjPoint.exact([lattes.base_point[0], 1]),
-                              tol).values(), LogMag.zero())
+    x0 = lattes.base_point[0]
+    h0 = sum(canonical_height(lattes.system, ProjPoint.exact([x0, 1]), tol).values(), LogMag.zero())
     if h0.total() - h0.arch_err <= tol:
         raise PreconditionError(
             f"base point height {h0.total()} not certifiably above tol={tol}: torsion?"
         )
 
-    factor_lists = [[(integral([1, -lattes.base_point[0]])[0], 1)]]  # depth k's at index k
+    factor_lists = [[([x0.denominator, -x0.numerator], 1)]]  # depth k's at index k
     for depth in range(1, max(depth_list, default=0) + 1):
         factor_lists.append(_preimage_factors(lattes, depth, factor_lists[-1]))
     rows = []

@@ -15,7 +15,7 @@ from greenfield.dynsys import (DynSystem, Membership, _arch_tail, _escape_arch, 
 from greenfield.errors import DimensionMismatch, DomainError, InternalCheckError, NotAMorphism
 from greenfield.homopoly import (HomoForm, PolyMap, ProjPoint, _compile, _values,
                                  monomials_of_degree, parse_form, parse_map)
-from greenfield.pffield import Place, abs_log
+from greenfield.pffield import LogMag, Place, abs_log
 
 ARCH = Place.archimedean()
 GOLDEN_SQ = (3 + math.sqrt(5)) / 2  # w with w + 1/w = 3
@@ -289,6 +289,17 @@ def test_membership_examples(power_map):
         is Membership.OUTSIDE
     # exact boundary at a good place is inside (polydisk is closed)
     assert _membership(power_map, Place.prime(2), ProjPoint.exact([1, 1])) is Membership.INSIDE
+
+
+def test_membership_band_covers_the_rate_error():
+    # 5e-12 ± 1e-11 may be negative and -5e-12 ± 1e-11 positive, though both
+    # lie outside the band of tol = 1e-12
+    for val in (5e-12, -5e-12):
+        assert membership_of(LogMag.of_float(val, 1e-11), 1e-12) is Membership.UNDETERMINED
+    assert membership_of(LogMag.of_float(2e-11, 1e-11), 1e-12) is Membership.OUTSIDE
+    assert membership_of(LogMag.of_float(-2e-11, 1e-11), 1e-12) is Membership.INSIDE
+    # below tol the band is tol, as before
+    assert membership_of(LogMag.of_float(5e-10, 1e-12), 1e-9) is Membership.UNDETERMINED
 
 
 def test_reduction_type_examples(power_map):

@@ -446,13 +446,18 @@ def test_poly_str_takes_only_primitive_polynomials_led_by_a_positive_coefficient
             experiments._poly_str(coeffs)
 
 
-def _sympy_preimage_factors(lattes, depth):
-    """The factorization over QQ through sympy's expression layer."""
+def _iterate_equation(lattes, depth):
+    """den·F^k_0(z, 1) - num·F^k_1(z, 1) over QQ, x(P) = num/den, from the
+    symbolic iterate F^k."""
     x0 = lattes.base_point[0]
     fk = lattes.system.iterate(depth)
     form = fk.forms[0].scale(x0.denominator) - fk.forms[1].scale(x0.numerator)
-    poly = Poly(sum(c * Z**i for (i, _j), c in form.coeffs.items()), Z, domain="QQ")
-    _const, factors = factor_list(poly)
+    return Poly(sum(c * Z**i for (i, _j), c in form.coeffs.items()), Z, domain="QQ")
+
+
+def _sympy_preimage_factors(lattes, depth):
+    """The factorization over QQ through sympy's expression layer."""
+    _const, factors = factor_list(_iterate_equation(lattes, depth))
     return [(str(Poly(f, Z, domain="QQ").as_expr()), mult) for f, mult in factors]
 
 
@@ -466,25 +471,66 @@ def _factor_lists(lattes, max_depth):
     return lists
 
 
-@settings(max_examples=40)
-@given(st.integers(-4, 4), st.integers(-6, 6), st.sampled_from([1, 4]),
-       st.integers(-6, 6), st.sampled_from([1, 8]), st.booleans())
-@example(0, 3, 1, 5, 1, False)  # y^2 = x^3 - 2, P = (3, 5): the golden curve
-@example(0, 2, 1, 2, 1, True)  # y^2 = x^3 - 2x, P = (2, 2): j = 1728
-def test_preimage_factors_match_sympy_over_qq(a, x_num, x_den, y_num, y_den, b_zero):
-    # b_zero draws y^2 = x^3 + ax through the point; a = 0 is drawn directly
-    x0, y0 = Fraction(x_num, x_den), Fraction(y_num, y_den)
-    if b_zero and x0 != 0:
+def _lattes(a, x0, y0) -> LattesSystem:
+    """Duplication on y^2 = x^3 + ax + b, b chosen so that (x0, y0) is on it."""
+    x0, y0 = Fraction(x0), Fraction(y0)
+    return LattesSystem(EllipticCurve(Fraction(a), y0**2 - x0**3 - a * x0), (x0, y0))
+
+
+@st.composite
+def _small_lattes(draw):
+    """Lattes systems through a small point; a = 0 is drawn directly, and a
+    flag draws b = 0 (y^2 = x^3 + ax through the point)."""
+    a = draw(st.integers(-4, 4))
+    x0 = Fraction(draw(st.integers(-6, 6)), draw(st.sampled_from([1, 4])))
+    y0 = Fraction(draw(st.integers(-6, 6)), draw(st.sampled_from([1, 8])))
+    if draw(st.booleans()) and x0 != 0:
         a = (y0**2 - x0**3) / x0
-    b = y0**2 - x0**3 - a * x0
     try:
-        lattes = LattesSystem(EllipticCurve(Fraction(a), b), (x0, y0))
+        return _lattes(a, x0, y0)
     except DomainError:  # a singular curve
-        return
+        assume(False)
+
+
+GOLDEN_LATTES = _lattes(0, 3, 5)  # y^2 = x^3 - 2, P = (3, 5): the golden curve
+J1728_LATTES = _lattes(-2, 2, 2)  # y^2 = x^3 - 2x, P = (2, 2): j = 1728
+# 2·(3, 5) on the golden curve: g_1 = 1·3, a reducible parent
+DOUBLED_LATTES = _lattes(0, Fraction(129, 100), Fraction(-383, 1000))
+
+
+@settings(max_examples=40)
+@given(_small_lattes())
+@example(GOLDEN_LATTES)
+@example(J1728_LATTES)
+def test_preimage_factors_match_sympy_over_qq(lattes):
     lists = _factor_lists(lattes, 2)
     for depth in (1, 2):
         ours = [(experiments._poly_str(f), mult) for f, mult in lists[depth]]
         assert ours == _sympy_preimage_factors(lattes, depth)
+
+
+@settings(max_examples=20)
+@given(_small_lattes())
+@example(GOLDEN_LATTES)
+@example(J1728_LATTES)
+@example(DOUBLED_LATTES)
+@example(_lattes(0, 1, 0))  # y^2 = x^3 - 1, P = (1, 0) of order 2: each g_k is a square
+def test_preimage_factors_multiply_to_the_iterate_equation(lattes):
+    # g_k from its parent alone agrees with the symbolic F^k at every depth
+    for depth, factors in enumerate(_factor_lists(lattes, 3)[1:], 1):
+        product = math.prod((Poly(f, Z) ** mult for f, mult in factors), start=Poly(1, Z))
+        _den, poly = _iterate_equation(lattes, depth).clear_denoms(convert=True)
+        assert product == poly.primitive()[1]
+
+
+def test_lehmer_scan_builds_no_iterate(mordell_lattes, monkeypatch):
+    def no_iterate(*_args):
+        raise AssertionError("the scan composed F^k")
+
+    monkeypatch.setattr(DynSystem, "iterate", no_iterate)
+    table = lehmer_scan(mordell_lattes, [0, 1, 2, 3], tol=1e-9)
+    assert [sum(r["degree"] * r["multiplicity"] for r in table["rows"] if r["depth"] == d)
+            for d in range(4)] == [1, 4, 16, 64]
 
 
 @pytest.mark.parametrize("a, point, degrees, certified", [
@@ -495,8 +541,7 @@ def test_preimage_factors_match_sympy_over_qq(a, x_num, x_den, y_num, y_den, b_z
     (0, (Fraction(129, 100), Fraction(-383, 1000)), ([1, 3], [4, 12]), None),  # 2·(3, 5)
 ])
 def test_degree_pattern_certificate_and_its_fallback(a, point, degrees, certified):
-    x0, y0 = (Fraction(c) for c in point)
-    lattes = LattesSystem(EllipticCurve(Fraction(a), y0**2 - x0**3 - a * x0), (x0, y0))
+    lattes = _lattes(a, *point)
     lists = _factor_lists(lattes, 2)
     for depth in (1, 2):
         assert sorted(len(f) - 1 for f, _mult in lists[depth]) == degrees[depth - 1]
